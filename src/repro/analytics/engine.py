@@ -49,10 +49,9 @@ class AnalyticResult:
 
 def segment_sums(dg: DistGraph, values_of_neighbors: np.ndarray) -> np.ndarray:
     """Per-owned-vertex sum of an array aligned with ``dg.adj``."""
-    src = np.repeat(
-        np.arange(dg.n_local, dtype=np.int64), dg.local_degrees
+    return np.bincount(
+        dg.arc_src, weights=values_of_neighbors, minlength=dg.n_local
     )
-    return np.bincount(src, weights=values_of_neighbors, minlength=dg.n_local)
 
 
 def attach_directed(dg: DistGraph, directed: Graph) -> None:

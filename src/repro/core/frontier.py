@@ -40,10 +40,13 @@ edge cut within a few percent of the exhaustive sweeps).
 
 Determinism: the active set lives in a boolean mask over owned lids and
 is materialized with ``flatnonzero`` (ascending lids), then chunked with
-the same ``params.block_size`` as the legacy sweep.  A full active set
+the same ``params.block_size`` as a full sweep.  A full active set
 therefore yields bit-identical blocks — hence bit-identical moves — to
-the legacy path (``params.frontier = "full"`` forces this every
-iteration; ``False`` bypasses the engine's bookkeeping entirely).
+an exhaustive sweep (``params.frontier = "full"`` forces this every
+iteration; ``False`` bypasses the engine's bookkeeping entirely).  Every
+block is strictly ascending, as ``RankState.block_part_counts``
+requires; a full-sweep block is a contiguous lid range, which that
+kernel reads as one CSR slice instead of gathering it.
 
 Work model: scoring work is charged by ``block_part_counts`` only for
 blocks actually swept, so a shrinking active set shrinks
@@ -70,7 +73,7 @@ DIRT_FRACTION = 1.0 / 16.0
 class FrontierSweeper:
     """Drives one phase's sweep iterations over the active set.
 
-    Usage, replacing the legacy ``iter_blocks`` inner loop::
+    Usage, as the inner loop of every label-propagation phase::
 
         sweeper = FrontierSweeper(state, phase="vertex_balance")
         for _ in range(iters):
@@ -178,8 +181,9 @@ class FrontierSweeper:
     def blocks(self) -> Iterator[np.ndarray]:
         """Yield the iteration's active lids in ``block_size`` chunks.
 
-        A full frontier yields exactly the legacy ``iter_blocks`` chunks
-        (ascending lids, same boundaries), preserving the between-block
+        A full sweep yields contiguous ``arange`` chunks of owned lids;
+        an explicit full frontier (``frontier="full"``) yields the same
+        lids with the same boundaries, preserving the between-block
         estimate-refresh schedule bit-for-bit.
         """
         self._edges_mark = self.state.edges_touched

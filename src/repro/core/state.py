@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.params import PulpParams
 from repro.dist.distgraph import DistGraph
 from repro.dist.wire import WireSpec, make_wire_spec
-from repro.graph.gather import neighbor_gather_with_sources
+from repro.graph.gather import expand_ranges
 from repro.simmpi.comm import SimComm
 
 UNASSIGNED = np.int64(-1)
@@ -186,26 +186,10 @@ class RankState:
         undirected cut edge once to each of its two endpoint parts.
         """
         comm.charge(self.dg.adj.size)
-        local = np.zeros(self.num_parts, dtype=np.int64)
-        for lids, _ in self.iter_blocks():
-            neigh, srcs, _ = neighbor_gather_with_sources(
-                self.dg.offsets, self.dg.adj, lids
-            )
-            p_src = self.parts[lids][srcs]
-            p_dst = self.parts[neigh]
-            cut = p_src != p_dst
-            local += np.bincount(p_src[cut], minlength=self.num_parts)
+        p_src = self.parts[self.dg.arc_src]
+        cut = p_src != self.parts[self.dg.adj]
+        local = np.bincount(p_src[cut], minlength=self.num_parts)
         return comm.Allreduce(local, op="sum")
-
-    # -- block iteration -----------------------------------------------------
-
-    def iter_blocks(self) -> Iterator[Tuple[np.ndarray, slice]]:
-        """Yield (owned lid block, slice) chunks of ``params.block_size``."""
-        n = self.dg.n_local
-        bs = self.params.block_size
-        for start in range(0, n, bs):
-            stop = min(start + bs, n)
-            yield np.arange(start, stop, dtype=np.int64), slice(start, stop)
 
     # -- neighbor-part score matrices -------------------------------------------
 
@@ -214,14 +198,26 @@ class RankState:
         lids: np.ndarray,
         *,
         degree_weighted: bool,
+        need_plain: bool = True,
         sparse: Optional[bool] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Per-vertex, per-part neighbor tallies for a block.
 
         Returns ``(weighted, plain)``: ``weighted[i, k]`` sums
-        ``degree(u)`` (or 1) over neighbors ``u`` of ``lids[i]`` in part k;
-        ``plain`` is always the unweighted tally (needed for cut deltas).
-        Neighbors still UNASSIGNED are ignored.
+        ``degree(u)`` over neighbors ``u`` of ``lids[i]`` in part k;
+        ``plain`` is the unweighted tally (needed for cut deltas).
+        Neighbors still UNASSIGNED are ignored.  Only the tallies a caller
+        uses are built: with ``degree_weighted=False`` the unit-weighted
+        tally *is* ``plain`` and both slots hold that one integer matrix;
+        ``need_plain=False`` skips the unweighted tally of a degree-weighted
+        call (its slot is None).
+
+        ``lids`` must be strictly ascending (every sweep block is).  A
+        block that is a contiguous lid range — every full sweep — reads
+        its arcs as one slice of the CSR and its weights from
+        ``DistGraph.arc_deg``; other blocks gather their arc ranges.  Both
+        give the same arcs in the same order, so the tallies are
+        bit-identical.
 
         For large ``num_parts`` the dense ``nb × p`` bincount is mostly
         zeros (each vertex's neighbors span few parts), so a sparse tally
@@ -231,44 +227,51 @@ class RankState:
         both paths produce bit-identical matrices (the per-key summation
         order is preserved by ``unique``'s stable inverse).
         """
+        dg = self.dg
         p = self.num_parts
         nb = lids.size
-        neigh, srcs, _ = neighbor_gather_with_sources(
-            self.dg.offsets, self.dg.adj, lids
-        )
+        if nb and int(lids[-1]) - int(lids[0]) + 1 == nb:
+            lo = int(lids[0])
+            arcs = slice(int(dg.offsets[lo]), int(dg.offsets[lo + nb]))
+            key = dg.arc_src[arcs] - lo
+        else:
+            starts = dg.offsets[lids]
+            counts = dg.offsets[lids + 1] - starts
+            arcs = expand_ranges(starts, counts)
+            key = np.repeat(np.arange(nb, dtype=np.int64), counts)
+        neigh = dg.adj[arcs]
         nparts = self.parts[neigh]
-        ok = nparts >= 0
-        if not np.all(ok):
-            neigh, srcs, nparts = neigh[ok], srcs[ok], nparts[ok]
-        key = srcs * p + nparts
+        w = dg.arc_deg[arcs] if degree_weighted else None
+        if nparts.size and nparts.min() < 0:
+            ok = nparts >= 0
+            key, nparts = key[ok], nparts[ok]
+            if w is not None:
+                w = w[ok]
+        key *= p
+        key += nparts
         # sweep cost: gather + tally passes over the block's edges, plus the
         # per-part weight/cap vector work
-        self.work_pending += 2.0 * neigh.size + float(nb) + float(p)
-        self.edges_touched += float(neigh.size)
+        self.work_pending += 2.0 * key.size + float(nb) + float(p)
+        self.edges_touched += float(key.size)
         if sparse is None:
             # sparse pays an O(E log E) sort to skip O(nb * p) histogram
             # passes; worthwhile once the dense matrix is <1/8 occupied
             # and wide enough for the difference to matter
-            sparse = p >= 64 and neigh.size * 8 < nb * p
+            sparse = p >= 64 and key.size * 8 < nb * p
         if sparse:
             uniq, inv = np.unique(key, return_inverse=True)
-            plain = np.zeros(nb * p, dtype=np.int64)
-            plain[uniq] = np.bincount(inv, minlength=uniq.size)
-            plain = plain.reshape(nb, p)
-            if degree_weighted:
-                w = self.dg.degrees_full[neigh].astype(np.float64)
-                weighted = np.zeros(nb * p, dtype=np.float64)
-                weighted[uniq] = np.bincount(
-                    inv, weights=w, minlength=uniq.size
-                )
-                weighted = weighted.reshape(nb, p)
-            else:
-                weighted = plain.astype(np.float64)
-            return weighted, plain
-        plain = np.bincount(key, minlength=nb * p).reshape(nb, p)
-        if degree_weighted:
-            w = self.dg.degrees_full[neigh].astype(np.float64)
-            weighted = np.bincount(key, weights=w, minlength=nb * p).reshape(nb, p)
-        else:
-            weighted = plain.astype(np.float64)
+
+        def tally(weights: Optional[np.ndarray]) -> np.ndarray:
+            if not sparse:
+                return np.bincount(
+                    key, weights=weights, minlength=nb * p
+                ).reshape(nb, p)
+            out = np.zeros(
+                nb * p, dtype=np.int64 if weights is None else np.float64
+            )
+            out[uniq] = np.bincount(inv, weights=weights, minlength=uniq.size)
+            return out.reshape(nb, p)
+
+        plain = tally(None) if need_plain or w is None else None
+        weighted = plain if w is None else tally(w)
         return weighted, plain

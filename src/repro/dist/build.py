@@ -56,15 +56,13 @@ def _localize(
 
 def _send_rank_lists(
     nprocs: int,
-    rank: int,
-    offsets: np.ndarray,
+    src: np.ndarray,
     local_adj: np.ndarray,
     n_local: int,
     ghost_owners: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per owned vertex, the sorted unique off-rank owners of its neighbors."""
-    degrees = np.diff(offsets)
-    src = np.repeat(np.arange(n_local, dtype=np.int64), degrees)
+    """Per owned vertex, the sorted unique off-rank owners of its neighbors
+    (``src`` is the owned row of every arc)."""
     is_ghost = local_adj >= n_local
     src_g = src[is_ghost]
     owners_g = ghost_owners[local_adj[is_ghost] - n_local].astype(np.int64)
@@ -109,24 +107,25 @@ def _ghost_routing(
 
 
 def _ghost_incidence(
-    offsets: np.ndarray,
+    src: np.ndarray,
     local_adj: np.ndarray,
     n_local: int,
     n_ghost: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """CSR transpose of the ghost columns: for each ghost lid, the owned
-    vertices adjacent to it (sorted ascending within each ghost's slice).
+    vertices adjacent to it (sorted ascending within each ghost's slice;
+    ``src`` is the owned row of every arc).
 
     The frontier engine uses this to turn an incoming ghost part update
     into the set of owned vertices that must re-evaluate their scores —
     ghosts own no forward CSR row, so the reverse structure is required.
     """
-    degrees = np.diff(offsets)
-    src = np.repeat(np.arange(n_local, dtype=np.int64), degrees)
     is_ghost = local_adj >= n_local
     targets = local_adj[is_ghost] - n_local
     sources = src[is_ghost]
-    order = np.lexsort((sources, targets))
+    # sources ascend already, so a stable sort by target keeps them
+    # ascending within each ghost's slice
+    order = np.argsort(targets, kind="stable")
     gin_offsets = np.zeros(n_ghost + 1, dtype=np.int64)
     np.cumsum(np.bincount(targets, minlength=n_ghost), out=gin_offsets[1:])
     return gin_offsets, sources[order]
@@ -157,6 +156,11 @@ def build_dist_graph(
         )
         offsets = np.zeros(owned_gids.size + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
+        # owned row of every arc, shared by the helpers below and kept
+        # on the graph for the sweep kernels
+        arc_src = np.repeat(
+            np.arange(owned_gids.size, dtype=np.int64), counts
+        )
         local_adj, ghost_gids, ghost_owners = _localize(
             dist, rank, owned_gids, neighbor_gids
         )
@@ -165,12 +169,12 @@ def build_dist_graph(
         # build exchanges them once — volume negligible and one-time)
         degrees_full = graph.degrees[l2g].astype(np.int64)
         sr_offsets, sr_adj = _send_rank_lists(
-            comm.size, rank, offsets, local_adj, owned_gids.size, ghost_owners
+            comm.size, arc_src, local_adj, owned_gids.size, ghost_owners
         )
         send_ghost_slot = _ghost_routing(comm, ghost_gids, ghost_owners, sr_adj)
         max_ghost_global = comm.allreduce(int(ghost_gids.size), op="max")
         gin_offsets, gin_adj = _ghost_incidence(
-            offsets, local_adj, owned_gids.size, ghost_gids.size
+            arc_src, local_adj, owned_gids.size, ghost_gids.size
         )
         # sanity rendezvous: global edge count must be conserved
         total_local = comm.allreduce(int(local_adj.size), op="sum")
@@ -195,4 +199,5 @@ def build_dist_graph(
             ghost_in_adj=gin_adj,
             global_n=graph.n,
             global_m=graph.num_edges,
+            arc_src=arc_src,
         )

@@ -32,6 +32,9 @@ class DistGraph:
         "l2g",
         "ghost_owners",
         "degrees_full",
+        "local_degrees",
+        "arc_src",
+        "arc_deg",
         "send_rank_offsets",
         "send_rank_adj",
         "send_ghost_slot",
@@ -63,6 +66,7 @@ class DistGraph:
         ghost_in_adj: np.ndarray,
         global_n: int,
         global_m: int,
+        arc_src: np.ndarray,
     ) -> None:
         self.dist = dist
         self.rank = int(rank)
@@ -73,6 +77,15 @@ class DistGraph:
         self.l2g = l2g
         self.ghost_owners = ghost_owners
         self.degrees_full = degrees_full
+        #: Degrees of owned vertices (== global degrees: every incident
+        #: edge of an owned vertex is stored locally).
+        self.local_degrees = np.diff(offsets)
+        #: Per-arc arrays aligned with ``adj``, built once per graph: the
+        #: owned row of each arc and its target's degree as float64, so a
+        #: contiguous lid block reads its sources and tally weights as
+        #: plain CSR slices (16 bytes per arc).
+        self.arc_src = arc_src
+        self.arc_deg = degrees_full[adj].astype(np.float64)
         self.send_rank_offsets = send_rank_offsets
         self.send_rank_adj = send_rank_adj
         #: Compact-wire routing table, aligned with ``send_rank_adj``:
@@ -94,6 +107,7 @@ class DistGraph:
         self.dir_in_offsets: Optional[np.ndarray] = None
         self.dir_in_adj: Optional[np.ndarray] = None
         for arr in (offsets, adj, l2g, ghost_owners, degrees_full,
+                    self.local_degrees, arc_src, self.arc_deg,
                     send_rank_offsets, send_rank_adj, send_ghost_slot,
                     ghost_in_offsets, ghost_in_adj):
             arr.setflags(write=False)
@@ -135,12 +149,6 @@ class DistGraph:
 
     def neighbor_block(self, lids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         return neighbor_gather(self.offsets, self.adj, lids)
-
-    @property
-    def local_degrees(self) -> np.ndarray:
-        """Degrees of owned vertices (== global degrees: every incident
-        edge of an owned vertex is stored locally)."""
-        return np.diff(self.offsets)
 
     @property
     def num_local_edges(self) -> int:

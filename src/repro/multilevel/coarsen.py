@@ -142,12 +142,11 @@ def lp_cluster_labels(
     vw = vw_all[dg.owned_gids]
     # cluster mass, dense over this level's global ids (cluster id == gid)
     mass = vw_all.astype(np.float64).copy()
-    srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
     with comm.phase("coarsen"):
         plan = ExchangePlan(comm, dg)
         for _ in range(LP_CLUSTER_ITERS):
             best, _bw = segment_best_label(
-                srcs, labels[dg.adj], level.ew_local, n
+                dg.arc_src, labels[dg.adj], level.ew_local, n
             )
             # scoring: lexsort + reduceat over local arcs, plus the
             # per-vertex selection passes
@@ -200,11 +199,10 @@ def hem_cluster_labels(
     dg = level.dg
     n = dg.n_local
     with comm.phase("coarsen"):
-        srcs = np.repeat(np.arange(n, dtype=np.int64), dg.local_degrees)
         owned_arc = dg.adj < n
         sub = sparse.csr_matrix(
             (level.ew_local[owned_arc],
-             (srcs[owned_arc], dg.adj[owned_arc])),
+             (dg.arc_src[owned_arc], dg.adj[owned_arc])),
             shape=(n, n),
         )
         rng = _cluster_rng(params, dg.rank, level_index)

@@ -196,11 +196,8 @@ def _project(
         state.work_pending = coarse_state.work_pending
         state.edges_touched = coarse_state.edges_touched
         state.sweep_log = coarse_state.sweep_log
-        srcs = np.repeat(
-            np.arange(fdg.n_local, dtype=np.int64), fdg.local_degrees
-        )
-        boundary = cluster_of[srcs] != cluster_of[fdg.adj]
-        seeds = np.unique(srcs[boundary])
+        boundary = cluster_of[fdg.arc_src] != cluster_of[fdg.adj]
+        seeds = np.unique(fdg.arc_src[boundary])
     return state, seeds
 
 

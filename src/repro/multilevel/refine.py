@@ -40,10 +40,7 @@ def weighted_cut(
     cut arcs rank-wise double-counts every cut edge exactly once.
     """
     dg = state.dg
-    srcs = np.repeat(
-        np.arange(dg.n_local, dtype=np.int64), dg.local_degrees
-    )
-    cut_arcs = state.parts[srcs] != state.parts[dg.adj]
+    cut_arcs = state.parts[dg.arc_src] != state.parts[dg.adj]
     comm.charge(2.0 * ew_local.size)
     local = float(ew_local[cut_arcs].sum())
     return comm.allreduce(local, op="sum") / 2.0

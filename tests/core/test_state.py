@@ -1,12 +1,14 @@
-"""RankState: targets, block iteration, tally matrices vs reference."""
+"""RankState: targets, sweep blocks, tally matrices vs reference."""
 
 import numpy as np
 import pytest
 
+from repro.core.frontier import FrontierSweeper
 from repro.core.params import PulpParams
 from repro.core.state import UNASSIGNED, RankState
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import rmat, ring
+from repro.graph.gather import expand_ranges, neighbor_gather_with_sources
 from repro.simmpi import Runtime
 
 
@@ -43,14 +45,126 @@ def test_targets_match_formula():
     )
 
 
-def test_iter_blocks_covers_all_vertices():
+def test_full_sweep_blocks_cover_all_vertices():
     g = rmat(8, 10, seed=1)
     (state,) = make_state(g, 4, nprocs=1, params=PulpParams(block_size=37))
-    seen = np.concatenate([lids for lids, _ in state.iter_blocks()])
+    blocks = list(FrontierSweeper(state, phase="t").blocks())
+    seen = np.concatenate(blocks)
     np.testing.assert_array_equal(seen, np.arange(state.dg.n_local))
-    # every block but the last has exactly block_size entries
-    sizes = [lids.size for lids, _ in state.iter_blocks()]
+    # every block but the last has exactly block_size entries, and each is
+    # a contiguous lid range (the CSR-slice path of block_part_counts)
+    sizes = [lids.size for lids in blocks]
     assert all(s == 37 for s in sizes[:-1])
+    assert all(np.all(np.diff(lids) == 1) for lids in blocks)
+
+
+def _reference_counts(state, lids, degree_weighted):
+    """The per-block gather tally, written out as the reference oracle."""
+    p = state.num_parts
+    neigh, srcs, _ = neighbor_gather_with_sources(
+        state.dg.offsets, state.dg.adj, lids
+    )
+    nparts = state.parts[neigh]
+    ok = nparts >= 0
+    neigh, srcs, nparts = neigh[ok], srcs[ok], nparts[ok]
+    key = srcs * p + nparts
+    plain = np.bincount(key, minlength=lids.size * p).reshape(lids.size, p)
+    if not degree_weighted:
+        return plain, plain
+    w = state.dg.degrees_full[neigh].astype(np.float64)
+    weighted = np.bincount(key, weights=w, minlength=lids.size * p)
+    return weighted.reshape(lids.size, p), plain
+
+
+def _labelled_state(p=5, seed=3):
+    g = rmat(9, 12, seed=seed)
+    (state,) = make_state(g, p, nprocs=1)
+    rng = np.random.default_rng(seed)
+    state.parts[:] = rng.integers(0, p, state.parts.size)
+    state.parts[::5] = UNASSIGNED  # some neighbors carry no label yet
+    return state
+
+
+@pytest.mark.parametrize("degree_weighted", [True, False])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_contiguous_block_matches_gather_path(degree_weighted, sparse):
+    state = _labelled_state()
+    lids = np.arange(30, 94, dtype=np.int64)
+    weighted, plain = state.block_part_counts(
+        lids, degree_weighted=degree_weighted, sparse=sparse
+    )
+    # the same lids, forced through the gather path by splitting the
+    # block into two gapped halves and interleaving their rows back
+    w_even, p_even = state.block_part_counts(
+        lids[::2], degree_weighted=degree_weighted, sparse=sparse
+    )
+    w_odd, p_odd = state.block_part_counts(
+        lids[1::2], degree_weighted=degree_weighted, sparse=sparse
+    )
+    np.testing.assert_array_equal(plain[::2], p_even)
+    np.testing.assert_array_equal(plain[1::2], p_odd)
+    np.testing.assert_array_equal(weighted[::2], w_even)
+    np.testing.assert_array_equal(weighted[1::2], w_odd)
+    w_ref, p_ref = _reference_counts(state, lids, degree_weighted)
+    np.testing.assert_array_equal(plain, p_ref)
+    np.testing.assert_array_equal(weighted, w_ref)
+    assert weighted.dtype == w_ref.dtype
+
+
+def test_gapped_block_takes_gather_path(monkeypatch):
+    import repro.core.state as state_mod
+
+    state = _labelled_state()
+    calls = []
+
+    def spy(starts, counts):
+        calls.append(starts.size)
+        return expand_ranges(starts, counts)
+
+    monkeypatch.setattr(state_mod, "expand_ranges", spy)
+    contiguous = np.arange(10, 50, dtype=np.int64)
+    state.block_part_counts(contiguous, degree_weighted=True)
+    assert calls == []
+    gapped = np.concatenate([np.arange(10, 30), np.arange(31, 51)])
+    weighted, plain = state.block_part_counts(gapped, degree_weighted=True)
+    assert calls == [gapped.size]
+    w_ref, p_ref = _reference_counts(state, gapped, True)
+    np.testing.assert_array_equal(plain, p_ref)
+    np.testing.assert_array_equal(weighted, w_ref)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_block_part_counts_builds_only_requested_tallies(sparse):
+    state = _labelled_state()
+    lids = np.arange(64, dtype=np.int64)
+    w_both, p_both = state.block_part_counts(
+        lids, degree_weighted=True, sparse=sparse
+    )
+    w_only, none = state.block_part_counts(
+        lids, degree_weighted=True, need_plain=False, sparse=sparse
+    )
+    assert none is None
+    np.testing.assert_array_equal(w_only, w_both)
+    # unit weights: the weighted slot is the plain tally itself
+    unit, plain = state.block_part_counts(
+        lids, degree_weighted=False, sparse=sparse
+    )
+    assert unit is plain
+    np.testing.assert_array_equal(plain, p_both)
+
+
+def test_sweep_charge_same_on_both_block_paths():
+    state = _labelled_state()
+    lids = np.arange(40, dtype=np.int64)
+    state.block_part_counts(lids, degree_weighted=True)
+    contiguous = (state.work_pending, state.edges_touched)
+    state.work_pending = state.edges_touched = 0.0
+    state.block_part_counts(lids[::2], degree_weighted=True)
+    state.block_part_counts(lids[1::2], degree_weighted=True)
+    # split charges one extra per-part vector term
+    p = state.num_parts
+    assert state.edges_touched == contiguous[1]
+    assert state.work_pending == contiguous[0] + p
 
 
 def test_block_part_counts_against_reference():

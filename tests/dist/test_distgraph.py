@@ -1,5 +1,7 @@
 """DistGraph API details beyond the construction tests."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,9 +61,42 @@ def test_star_hub_neighbor_ranks():
 def test_arrays_read_only():
     g = ring(8)
     dg = build_one(g, 2)[0]
-    for arr in (dg.offsets, dg.adj, dg.l2g, dg.degrees_full):
+    for arr in (dg.offsets, dg.adj, dg.l2g, dg.degrees_full,
+                dg.local_degrees, dg.arc_src, dg.arc_deg):
         with pytest.raises(ValueError):
             arr[0] = 99
+
+
+def test_per_arc_arrays_match_csr():
+    g = rmat(8, 10, seed=5)
+    for dg in build_one(g, 3, kind="random", seed=1):
+        assert dg.arc_src.shape == dg.adj.shape == dg.arc_deg.shape
+        for lid in range(dg.n_local):
+            arcs = slice(dg.offsets[lid], dg.offsets[lid + 1])
+            assert np.all(dg.arc_src[arcs] == lid)
+            np.testing.assert_array_equal(
+                dg.arc_deg[arcs], dg.degrees_full[dg.neighbors(lid)]
+            )
+        assert dg.arc_deg.dtype == np.float64
+        np.testing.assert_array_equal(
+            dg.local_degrees, np.diff(dg.offsets)
+        )
+        # built once: repeated reads return the same array object
+        assert dg.local_degrees is dg.local_degrees
+
+
+def test_pickle_round_trip_keeps_per_arc_arrays():
+    g = rmat(8, 10, seed=6)
+    for dg in build_one(g, 2, kind="random", seed=2):
+        back = pickle.loads(pickle.dumps(dg))
+        for name in ("offsets", "adj", "degrees_full", "local_degrees",
+                     "arc_src", "arc_deg", "ghost_in_adj"):
+            got, want = getattr(back, name), getattr(dg, name)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert (back.rank, back.n_local, back.n_ghost) == (
+            dg.rank, dg.n_local, dg.n_ghost
+        )
 
 
 def test_global_metadata():
