@@ -6,7 +6,7 @@ import numpy as np
 
 from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
-from repro.graph.gather import neighbor_gather_with_sources
+from repro.multilevel.kernels import segment_best_label
 from repro.simmpi.comm import SimComm
 
 
@@ -28,34 +28,16 @@ def label_propagation_communities(
     labels = dg.l2g.astype(np.int64).copy()
     rng = np.random.default_rng(seed + dg.rank)
     _ = rng
-    all_owned = np.arange(dg.n_local, dtype=np.int64)
+    ones = np.ones(dg.adj.size, dtype=np.float64)
     for _ in range(max(1, iters)):
         changed = 0
         if dg.n_local:
-            neigh, srcs, _c = neighbor_gather_with_sources(
-                dg.offsets, dg.adj, all_owned
+            comm.charge(2 * dg.adj.size)  # gather + sort-dominated sweep
+            # plurality label per source (counts are exact in float64;
+            # ties go to the smaller label)
+            winner, _ = segment_best_label(
+                dg.arc_src, labels[dg.adj], ones, dg.n_local
             )
-            comm.charge(2 * neigh.size)  # gather + sort-dominated sweep
-            nl = labels[neigh]
-            # plurality label per source: count (src, label) pairs
-            order = np.lexsort((nl, srcs))
-            s = srcs[order]
-            l = nl[order]
-            group = np.concatenate(
-                ([True], (s[1:] != s[:-1]) | (l[1:] != l[:-1]))
-            )
-            starts = np.flatnonzero(group)
-            sizes = np.diff(np.append(starts, s.size))
-            g_src = s[starts]
-            g_lab = l[starts]
-            # pick the largest group per source; ties → smaller label
-            pick_order = np.lexsort((g_lab, -sizes, g_src))
-            first = np.concatenate(
-                ([True], g_src[pick_order][1:] != g_src[pick_order][:-1])
-            )
-            sel = pick_order[first]
-            winner = np.full(dg.n_local, -1, dtype=np.int64)
-            winner[g_src[sel]] = g_lab[sel]
             upd = (winner >= 0) & (winner != labels[: dg.n_local])
             changed = int(upd.sum())
             labels[: dg.n_local][upd] = winner[upd]

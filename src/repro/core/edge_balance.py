@@ -123,7 +123,7 @@ def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 We = np.maximum(imb_e / np.maximum(est_e, 1.0) - 1.0, 0.0)
                 Wc = np.maximum(maxc / np.maximum(est_c, 1.0) - 1.0, 0.0)
                 weighted, plain = state.block_part_counts(
-                    lids, degree_weighted=True
+                    lids, arc_weights=dg.arc_deg
                 )
                 scores = weighted * (re_bias * We + rc_bias * Wc)
                 deg = dg.local_degrees[lids].astype(np.float64)
@@ -191,7 +191,7 @@ def edge_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 est_v = Sv + mult * Cv
                 est_e = Se + mult * Ce
                 est_c = Sc + mult * Cc
-                _, plain = state.block_part_counts(lids, degree_weighted=False)
+                _, plain = state.block_part_counts(lids, arc_weights=None)
                 scores = plain.astype(np.float64)
                 deg = dg.local_degrees[lids].astype(np.float64)
                 d_cut_gain = deg[:, None] - 2.0 * plain  # ΔSc at the target

@@ -46,7 +46,7 @@ def vertex_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
             for lids in sweeper.blocks():
                 est = Sv + mult * Cv
                 vw = state.vweights[lids]
-                _, plain = state.block_part_counts(lids, degree_weighted=False)
+                _, plain = state.block_part_counts(lids, arc_weights=None)
                 scores = plain.astype(np.float64)
                 # part full for vertex v once est + w(v) would exceed Maxv
                 scores[(est[None, :] + vw[:, None]) > maxv] = 0.0

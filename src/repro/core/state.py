@@ -197,27 +197,29 @@ class RankState:
         self,
         lids: np.ndarray,
         *,
-        degree_weighted: bool,
+        arc_weights: Optional[np.ndarray],
         need_plain: bool = True,
         sparse: Optional[bool] = None,
     ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
         """Per-vertex, per-part neighbor tallies for a block.
 
         Returns ``(weighted, plain)``: ``weighted[i, k]`` sums
-        ``degree(u)`` over neighbors ``u`` of ``lids[i]`` in part k;
-        ``plain`` is the unweighted tally (needed for cut deltas).
+        ``arc_weights`` over the arcs of ``lids[i]`` whose neighbor is in
+        part k; ``plain`` is the unweighted tally (needed for cut deltas).
+        ``arc_weights`` is a float array aligned with ``DistGraph.adj`` —
+        ``DistGraph.arc_deg`` for the degree-weighted balance scores, the
+        per-arc coarse edge weights in multilevel refinement — or None.
         Neighbors still UNASSIGNED are ignored.  Only the tallies a caller
-        uses are built: with ``degree_weighted=False`` the unit-weighted
-        tally *is* ``plain`` and both slots hold that one integer matrix;
-        ``need_plain=False`` skips the unweighted tally of a degree-weighted
-        call (its slot is None).
+        uses are built: with ``arc_weights=None`` the unit-weighted tally
+        *is* ``plain`` and both slots hold that one integer matrix;
+        ``need_plain=False`` skips the unweighted tally of a weighted call
+        (its slot is None).
 
         ``lids`` must be strictly ascending (every sweep block is).  A
         block that is a contiguous lid range — every full sweep — reads
-        its arcs as one slice of the CSR and its weights from
-        ``DistGraph.arc_deg``; other blocks gather their arc ranges.  Both
-        give the same arcs in the same order, so the tallies are
-        bit-identical.
+        its arcs and weights as one slice of the CSR; other blocks gather
+        their arc ranges.  Both give the same arcs in the same order, so
+        the tallies are bit-identical.
 
         For large ``num_parts`` the dense ``nb × p`` bincount is mostly
         zeros (each vertex's neighbors span few parts), so a sparse tally
@@ -241,7 +243,7 @@ class RankState:
             key = np.repeat(np.arange(nb, dtype=np.int64), counts)
         neigh = dg.adj[arcs]
         nparts = self.parts[neigh]
-        w = dg.arc_deg[arcs] if degree_weighted else None
+        w = arc_weights[arcs] if arc_weights is not None else None
         if nparts.size and nparts.min() < 0:
             ok = nparts >= 0
             key, nparts = key[ok], nparts[ok]

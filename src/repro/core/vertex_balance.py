@@ -98,7 +98,7 @@ def vertex_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 vw = state.vweights[lids]
                 Wv = np.maximum(imb_v / np.maximum(est, 1.0) - 1.0, 0.0)
                 weighted, _ = state.block_part_counts(
-                    lids, degree_weighted=True, need_plain=False
+                    lids, arc_weights=dg.arc_deg, need_plain=False
                 )
                 scores = weighted * Wv
                 # a part is full for vertex v once est + w(v) exceeds Maxv

@@ -148,7 +148,7 @@ def lp_cluster_labels(
             best, _bw = segment_best_label(
                 dg.arc_src, labels[dg.adj], level.ew_local, n
             )
-            # scoring: lexsort + reduceat over local arcs, plus the
+            # scoring: one-key sort + reduceat over local arcs, plus the
             # per-vertex selection passes
             comm.charge(3.0 * level.ew_local.size + float(n))
             cand = np.flatnonzero((best >= 0) & (best != labels[:n]))

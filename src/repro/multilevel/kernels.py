@@ -4,8 +4,8 @@ These are the per-address-space building blocks of the multilevel family,
 factored out of :mod:`repro.baselines.multilevel` so the distributed
 coarsener (:mod:`repro.multilevel.coarsen`) reuses the exact same kernels:
 the baseline applies them to the whole graph, a simulated rank applies
-them to its owned subgraph.  The bodies are unchanged — the baseline's
-partitions stay bit-identical (enforced by its tests).
+them to its owned subgraph.  The baseline's partitions stay
+bit-identical (enforced by its tests).
 
 All kernels operate on a SciPy CSR adjacency with positive edge weights
 and no diagonal.
@@ -23,34 +23,56 @@ from scipy import sparse
 # segment utilities (per-vertex aggregation over sorted edge arrays)
 # ---------------------------------------------------------------------------
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values begins in non-empty ``a``."""
+    start = np.empty(a.size, dtype=bool)
+    start[0] = True
+    np.not_equal(a[1:], a[:-1], out=start[1:])
+    return np.flatnonzero(start)
+
+
 def segment_best_label(
     src: np.ndarray, lab: np.ndarray, w: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """For every vertex, the neighbor label with maximum total edge weight.
 
     Returns ``(best_label, best_weight)``; vertices with no edges get
-    label -1 / weight 0.
+    label -1 / weight 0.  Ties go to the smallest label.
+
+    Arcs are grouped by one stable sort on the int64 key
+    ``src * span + lab`` (``span = lab.max() + 1``), which is exactly the
+    ``(src, lab)`` lexicographic order with ties kept in input order, so
+    each group's weights are summed in arc order.  Groups then ascend by
+    label within a source; the winner is the first group whose sum equals
+    the source's ``maximum.reduceat``.
+
+    Precondition: ``src`` holds vertex ids in ``[0, n)``, labels are
+    ``>= 0`` and ``(src.max() + 1) * span`` fits in int64; a violation
+    raises ``ValueError``.
     """
     best_label = np.full(n, -1, dtype=np.int64)
     best_weight = np.zeros(n, dtype=np.float64)
     if src.size == 0:
         return best_label, best_weight
-    order = np.lexsort((lab, src))
-    s, l, ww = src[order], lab[order], w[order]
-    group = np.empty(s.size, dtype=bool)
-    group[0] = True
-    group[1:] = (s[1:] != s[:-1]) | (l[1:] != l[:-1])
-    starts = np.flatnonzero(group)
-    sums = np.add.reduceat(ww, starts)
-    g_src = s[starts]
-    g_lab = l[starts]
-    # pick the max-sum group per source (stable: first max wins)
-    order2 = np.lexsort((-sums, g_src))
-    g_src2 = g_src[order2]
-    first = np.empty(g_src2.size, dtype=bool)
-    first[0] = True
-    first[1:] = g_src2[1:] != g_src2[:-1]
-    sel = order2[first]
+    if int(lab.min()) < 0:
+        raise ValueError("segment_best_label: labels must be >= 0")
+    span = int(lab.max()) + 1
+    if (int(src.max()) + 1) * span > np.iinfo(np.int64).max:
+        raise ValueError("segment_best_label: int64 key overflow")
+    key = src.astype(np.int64)
+    key *= span
+    key += lab
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    starts = _run_starts(k)
+    sums = np.add.reduceat(w[order], starts)
+    g_src, g_lab = np.divmod(k[starts], span)
+    # first max-sum group per source (groups ascend by label)
+    src_starts = _run_starts(g_src)
+    src_max = np.maximum.reduceat(sums, src_starts)
+    is_max = sums == np.repeat(src_max, np.diff(src_starts, append=sums.size))
+    cand = np.flatnonzero(is_max)
+    sel = cand[_run_starts(g_src[cand])]
     best_label[g_src[sel]] = g_lab[sel]
     best_weight[g_src[sel]] = sums[sel]
     return best_label, best_weight
@@ -115,7 +137,9 @@ def heavy_edge_matching(
         best, _ = segment_best_label(src[sel], dst[sel], w[sel], n)
         leaves = np.flatnonzero((best >= 0) & free)
         hubs = best[leaves]
-        order = np.lexsort((leaves, hubs))
+        # leaves ascend (flatnonzero), so a stable sort by hub is the
+        # (hub, leaf) order
+        order = np.argsort(hubs, kind="stable")
         lv = leaves[order]
         hb = hubs[order]
         same_hub = np.zeros(lv.size, dtype=bool)

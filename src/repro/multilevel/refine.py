@@ -26,7 +26,6 @@ import numpy as np
 from repro.core.capacity import enforce_weight_capacity
 from repro.core.frontier import FrontierSweeper
 from repro.core.state import RankState
-from repro.graph.gather import expand_ranges
 from repro.simmpi.comm import SimComm
 
 
@@ -57,11 +56,10 @@ def ml_refine_phase(
 
     Mirrors ``vertex_refine_phase`` — ratcheted ``Maxv`` vertex-weight
     cap, multiplier-scaled per-part admission, frontier sweeps — with the
-    plurality tally weighted by ``ew_local`` (this rank's per-arc coarse
-    edge weights, aligned with ``state.dg.adj``).
+    ``block_part_counts`` plurality tally weighted by ``ew_local`` (this
+    rank's per-arc coarse edge weights, aligned with ``state.dg.adj``).
     """
     p = state.num_parts
-    dg = state.dg
     imb_v = state.target_max_vertices
     with comm.phase("ml_refine"):
         Sv = state.compute_vertex_sizes(comm).astype(np.float64)
@@ -79,24 +77,9 @@ def ml_refine_phase(
             for lids in sweeper.blocks():
                 est = Sv + mult * Cv
                 vw = state.vweights[lids]
-                starts = dg.offsets[lids]
-                counts = dg.offsets[lids + 1] - starts
-                arcs = expand_ranges(starts, counts)
-                neigh = dg.adj[arcs]
-                nparts = state.parts[neigh]
-                rows = np.repeat(
-                    np.arange(lids.size, dtype=np.int64), counts
+                scores, _ = state.block_part_counts(
+                    lids, arc_weights=ew_local, need_plain=False
                 )
-                ok = nparts >= 0
-                # weighted tally via the same sparse-key bincount trick as
-                # block_part_counts, with arc weights instead of counts
-                key = rows[ok] * np.int64(p) + nparts[ok]
-                scores = np.bincount(
-                    key, weights=ew_local[arcs][ok],
-                    minlength=lids.size * p,
-                ).reshape(lids.size, p)
-                state.work_pending += 2.0 * neigh.size + float(lids.size + p)
-                state.edges_touched += float(neigh.size)
                 scores[(est[None, :] + vw[:, None]) > maxv] = 0.0
                 x = state.parts[lids]
                 w = np.argmax(scores, axis=1)

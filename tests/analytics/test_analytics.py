@@ -136,6 +136,53 @@ def test_label_propagation_deterministic(g):
     np.testing.assert_array_equal(a.values, b.values)
 
 
+def _reference_label_propagation(comm, dg, plan, *, iters=10):
+    """Reference oracle: the two-lexsort plurality sweep (largest
+    neighbor-label group, ties to the smaller label)."""
+    labels = dg.l2g.astype(np.int64).copy()
+    srcs = dg.arc_src
+    for _ in range(max(1, iters)):
+        changed = 0
+        if dg.n_local:
+            comm.charge(2 * dg.adj.size)
+            nl = labels[dg.adj]
+            order = np.lexsort((nl, srcs))
+            s = srcs[order]
+            l = nl[order]
+            group = np.concatenate(
+                ([True], (s[1:] != s[:-1]) | (l[1:] != l[:-1]))
+            )
+            starts = np.flatnonzero(group)
+            sizes = np.diff(np.append(starts, s.size))
+            g_src = s[starts]
+            g_lab = l[starts]
+            pick = np.lexsort((g_lab, -sizes, g_src))
+            first = np.concatenate(
+                ([True], g_src[pick][1:] != g_src[pick][:-1])
+            )
+            sel = pick[first]
+            winner = np.full(dg.n_local, -1, dtype=np.int64)
+            winner[g_src[sel]] = g_lab[sel]
+            upd = (winner >= 0) & (winner != labels[: dg.n_local])
+            changed = int(upd.sum())
+            labels[: dg.n_local][upd] = winner[upd]
+        plan.pull(comm, labels)
+        if comm.allreduce(changed, op="sum") == 0:
+            break
+    return labels[: dg.n_local].copy()
+
+
+@pytest.mark.parametrize("nprocs", [1, 3])
+@pytest.mark.parametrize("strategy", ["block", "random"])
+def test_label_propagation_matches_reference(g, nprocs, strategy):
+    # one name, so both runs tag their events alike
+    kw = dict(nprocs=nprocs, distribution=strategy, iters=6, name="lp")
+    got = run_analytic(g, label_propagation_communities, **kw)
+    ref = run_analytic(g, _reference_label_propagation, **kw)
+    np.testing.assert_array_equal(got.values, ref.values)
+    assert got.stats.signature() == ref.stats.signature()
+
+
 def test_results_independent_of_distribution(g):
     """Deterministic kernels must give identical answers under any layout
     (only the comm volume changes) — the Fig. 8 premise."""

@@ -8,7 +8,7 @@ from repro.core.params import PulpParams
 from repro.core.state import UNASSIGNED, RankState
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import rmat, ring
-from repro.graph.gather import expand_ranges, neighbor_gather_with_sources
+from repro.graph.gather import expand_ranges
 from repro.simmpi import Runtime
 
 
@@ -58,22 +58,31 @@ def test_full_sweep_blocks_cover_all_vertices():
     assert all(np.all(np.diff(lids) == 1) for lids in blocks)
 
 
-def _reference_counts(state, lids, degree_weighted):
+def _reference_counts(state, lids, arc_weights):
     """The per-block gather tally, written out as the reference oracle."""
     p = state.num_parts
-    neigh, srcs, _ = neighbor_gather_with_sources(
-        state.dg.offsets, state.dg.adj, lids
-    )
-    nparts = state.parts[neigh]
+    dg = state.dg
+    starts = dg.offsets[lids]
+    counts = dg.offsets[lids + 1] - starts
+    arcs = expand_ranges(starts, counts)
+    srcs = np.repeat(np.arange(lids.size, dtype=np.int64), counts)
+    nparts = state.parts[dg.adj[arcs]]
     ok = nparts >= 0
-    neigh, srcs, nparts = neigh[ok], srcs[ok], nparts[ok]
-    key = srcs * p + nparts
+    key = srcs[ok] * p + nparts[ok]
     plain = np.bincount(key, minlength=lids.size * p).reshape(lids.size, p)
-    if not degree_weighted:
+    if arc_weights is None:
         return plain, plain
-    w = state.dg.degrees_full[neigh].astype(np.float64)
-    weighted = np.bincount(key, weights=w, minlength=lids.size * p)
+    weighted = np.bincount(
+        key, weights=arc_weights[arcs][ok], minlength=lids.size * p
+    )
     return weighted.reshape(lids.size, p), plain
+
+
+def _float_arc_weights(state):
+    """Jittered float per-arc weights, like multilevel refinement's."""
+    rng = np.random.default_rng(11)
+    size = state.dg.adj.size
+    return np.round(rng.random(size) * 8) / 4 + 1e-3 * rng.random(size)
 
 
 def _labelled_state(p=5, seed=3):
@@ -85,36 +94,48 @@ def _labelled_state(p=5, seed=3):
     return state
 
 
-@pytest.mark.parametrize("degree_weighted", [True, False])
-@pytest.mark.parametrize("sparse", [False, True])
-def test_contiguous_block_matches_gather_path(degree_weighted, sparse):
-    state = _labelled_state()
+def _check_contiguous_matches_gather(state, aw, sparse):
     lids = np.arange(30, 94, dtype=np.int64)
     weighted, plain = state.block_part_counts(
-        lids, degree_weighted=degree_weighted, sparse=sparse
+        lids, arc_weights=aw, sparse=sparse
     )
     # the same lids, forced through the gather path by splitting the
     # block into two gapped halves and interleaving their rows back
     w_even, p_even = state.block_part_counts(
-        lids[::2], degree_weighted=degree_weighted, sparse=sparse
+        lids[::2], arc_weights=aw, sparse=sparse
     )
     w_odd, p_odd = state.block_part_counts(
-        lids[1::2], degree_weighted=degree_weighted, sparse=sparse
+        lids[1::2], arc_weights=aw, sparse=sparse
     )
     np.testing.assert_array_equal(plain[::2], p_even)
     np.testing.assert_array_equal(plain[1::2], p_odd)
     np.testing.assert_array_equal(weighted[::2], w_even)
     np.testing.assert_array_equal(weighted[1::2], w_odd)
-    w_ref, p_ref = _reference_counts(state, lids, degree_weighted)
+    w_ref, p_ref = _reference_counts(state, lids, aw)
     np.testing.assert_array_equal(plain, p_ref)
     np.testing.assert_array_equal(weighted, w_ref)
     assert weighted.dtype == w_ref.dtype
+
+
+@pytest.mark.parametrize("degree_weighted", [True, False])
+@pytest.mark.parametrize("sparse", [False, True])
+def test_contiguous_block_matches_gather_path(degree_weighted, sparse):
+    state = _labelled_state()
+    aw = state.dg.arc_deg if degree_weighted else None
+    _check_contiguous_matches_gather(state, aw, sparse)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_contiguous_block_matches_gather_path_float_weights(sparse):
+    state = _labelled_state()
+    _check_contiguous_matches_gather(state, _float_arc_weights(state), sparse)
 
 
 def test_gapped_block_takes_gather_path(monkeypatch):
     import repro.core.state as state_mod
 
     state = _labelled_state()
+    aw = state.dg.arc_deg
     calls = []
 
     def spy(starts, counts):
@@ -123,12 +144,12 @@ def test_gapped_block_takes_gather_path(monkeypatch):
 
     monkeypatch.setattr(state_mod, "expand_ranges", spy)
     contiguous = np.arange(10, 50, dtype=np.int64)
-    state.block_part_counts(contiguous, degree_weighted=True)
+    state.block_part_counts(contiguous, arc_weights=aw)
     assert calls == []
     gapped = np.concatenate([np.arange(10, 30), np.arange(31, 51)])
-    weighted, plain = state.block_part_counts(gapped, degree_weighted=True)
+    weighted, plain = state.block_part_counts(gapped, arc_weights=aw)
     assert calls == [gapped.size]
-    w_ref, p_ref = _reference_counts(state, gapped, True)
+    w_ref, p_ref = _reference_counts(state, gapped, aw)
     np.testing.assert_array_equal(plain, p_ref)
     np.testing.assert_array_equal(weighted, w_ref)
 
@@ -136,18 +157,19 @@ def test_gapped_block_takes_gather_path(monkeypatch):
 @pytest.mark.parametrize("sparse", [False, True])
 def test_block_part_counts_builds_only_requested_tallies(sparse):
     state = _labelled_state()
+    aw = state.dg.arc_deg
     lids = np.arange(64, dtype=np.int64)
     w_both, p_both = state.block_part_counts(
-        lids, degree_weighted=True, sparse=sparse
+        lids, arc_weights=aw, sparse=sparse
     )
     w_only, none = state.block_part_counts(
-        lids, degree_weighted=True, need_plain=False, sparse=sparse
+        lids, arc_weights=aw, need_plain=False, sparse=sparse
     )
     assert none is None
     np.testing.assert_array_equal(w_only, w_both)
     # unit weights: the weighted slot is the plain tally itself
     unit, plain = state.block_part_counts(
-        lids, degree_weighted=False, sparse=sparse
+        lids, arc_weights=None, sparse=sparse
     )
     assert unit is plain
     np.testing.assert_array_equal(plain, p_both)
@@ -155,16 +177,36 @@ def test_block_part_counts_builds_only_requested_tallies(sparse):
 
 def test_sweep_charge_same_on_both_block_paths():
     state = _labelled_state()
+    aw = state.dg.arc_deg
     lids = np.arange(40, dtype=np.int64)
-    state.block_part_counts(lids, degree_weighted=True)
+    state.block_part_counts(lids, arc_weights=aw)
     contiguous = (state.work_pending, state.edges_touched)
     state.work_pending = state.edges_touched = 0.0
-    state.block_part_counts(lids[::2], degree_weighted=True)
-    state.block_part_counts(lids[1::2], degree_weighted=True)
+    state.block_part_counts(lids[::2], arc_weights=aw)
+    state.block_part_counts(lids[1::2], arc_weights=aw)
     # split charges one extra per-part vector term
     p = state.num_parts
     assert state.edges_touched == contiguous[1]
     assert state.work_pending == contiguous[0] + p
+
+
+@pytest.mark.parametrize("contiguous", [True, False])
+def test_sweep_charge_counts_every_arc_when_all_assigned(contiguous):
+    # with every neighbour labelled (multilevel refinement after
+    # projection) the charge is 2·arcs + nb + p
+    state = _labelled_state()
+    rng = np.random.default_rng(4)
+    state.parts[:] = rng.integers(0, state.num_parts, state.parts.size)
+    lids = np.arange(20, 84, dtype=np.int64)
+    if not contiguous:
+        lids = lids[::2]
+    arcs = int((state.dg.offsets[lids + 1] - state.dg.offsets[lids]).sum())
+    state.block_part_counts(
+        lids, arc_weights=_float_arc_weights(state), need_plain=False
+    )
+    p = state.num_parts
+    assert state.work_pending == 2.0 * arcs + lids.size + p
+    assert state.edges_touched == arcs
 
 
 def test_block_part_counts_against_reference():
@@ -173,7 +215,9 @@ def test_block_part_counts_against_reference():
     rng = np.random.default_rng(0)
     state.parts[: state.dg.n_local] = rng.integers(0, 5, state.dg.n_local)
     lids = np.arange(40, dtype=np.int64)
-    weighted, plain = state.block_part_counts(lids, degree_weighted=True)
+    weighted, plain = state.block_part_counts(
+        lids, arc_weights=state.dg.arc_deg
+    )
     for i, lid in enumerate(lids):
         neigh = state.dg.neighbors(int(lid))
         for k in range(5):
@@ -195,16 +239,13 @@ def test_block_part_counts_sparse_dense_equivalence():
     state.parts[:] = rng.integers(0, p, state.parts.size)
     state.parts[::7] = UNASSIGNED  # exercise the unassigned filter too
     lids = np.arange(64, dtype=np.int64)
-    for dw in (True, False):
-        wd, pd = state.block_part_counts(
-            lids, degree_weighted=dw, sparse=False
-        )
-        ws, ps = state.block_part_counts(
-            lids, degree_weighted=dw, sparse=True
-        )
+    for aw in (state.dg.arc_deg, _float_arc_weights(state), None):
+        wd, pd = state.block_part_counts(lids, arc_weights=aw, sparse=False)
+        ws, ps = state.block_part_counts(lids, arc_weights=aw, sparse=True)
         np.testing.assert_array_equal(pd, ps)
         np.testing.assert_array_equal(wd, ws)
         assert ps.dtype == pd.dtype
+        assert ws.dtype == wd.dtype
 
 
 def test_block_part_counts_heuristic_picks_sparse_when_wide():
@@ -215,9 +256,10 @@ def test_block_part_counts_heuristic_picks_sparse_when_wide():
     rng = np.random.default_rng(2)
     state.parts[:] = rng.integers(0, p, state.parts.size)
     lids = np.arange(state.dg.n_local, dtype=np.int64)
-    w_auto, p_auto = state.block_part_counts(lids, degree_weighted=True)
+    aw = state.dg.arc_deg
+    w_auto, p_auto = state.block_part_counts(lids, arc_weights=aw)
     w_dense, p_dense = state.block_part_counts(
-        lids, degree_weighted=True, sparse=False
+        lids, arc_weights=aw, sparse=False
     )
     np.testing.assert_array_equal(p_auto, p_dense)
     np.testing.assert_array_equal(w_auto, w_dense)
@@ -229,7 +271,7 @@ def test_block_part_counts_ignores_unassigned():
     state.parts[:] = UNASSIGNED
     state.parts[0] = 1
     lids = np.arange(state.dg.n_local, dtype=np.int64)
-    _, plain = state.block_part_counts(lids, degree_weighted=False)
+    _, plain = state.block_part_counts(lids, arc_weights=None)
     assert plain.sum() == 2  # only vertex 0's two neighbors see a label
 
 
