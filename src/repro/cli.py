@@ -96,14 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="execution backend for the simulated ranks "
                              "(default: $REPRO_BACKEND or 'threads'); all "
                              "backends produce identical partitions")
-    parser.add_argument("--dataplane", choices=["shm", "pickle"],
-                        default=None,
-                        help="payload transport of the procs backend: 'shm' "
-                             "zero-copy shared-memory descriptors (default) "
-                             "or 'pickle' copy-through (verification mode); "
-                             "equivalent to $REPRO_DATAPLANE, ignored by "
-                             "in-process backends, identical partitions "
-                             "either way")
     parser.add_argument("--result-sharing", choices=["shared", "copy"],
                         default=None,
                         help="in-process collective result delivery: "
@@ -172,12 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.dataplane:
-        import os
-
-        from repro.simmpi.dataplane import DATAPLANE_ENV_VAR
-
-        os.environ[DATAPLANE_ENV_VAR] = args.dataplane
     if args.result_sharing:
         import os
 

@@ -127,7 +127,8 @@ def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 )
                 scores = weighted * (re_bias * We + rc_bias * Wc)
                 deg = dg.local_degrees[lids].astype(np.float64)
-                blocked = ((est_v + 1.0) > maxv)[None, :] | (
+                vw = state.vweights[lids]
+                blocked = (est_v[None, :] + vw[:, None] > maxv) | (
                     est_e[None, :] + deg[:, None] > maxe
                 )
                 scores[blocked] = 0.0
@@ -141,7 +142,6 @@ def edge_balance_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 )
                 cand = np.flatnonzero(move)
                 if cand.size:
-                    vw = state.vweights[lids]
                     cap_v = (maxv - est_v) / max(mult, 1e-12)
                     # two-tier edge capacity: a part below the target fills
                     # only to Imb_e (the We weight's zero-crossing); a part
@@ -194,9 +194,10 @@ def edge_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 _, plain = state.block_part_counts(lids, arc_weights=None)
                 scores = plain.astype(np.float64)
                 deg = dg.local_degrees[lids].astype(np.float64)
+                vw = state.vweights[lids]
                 d_cut_gain = deg[:, None] - 2.0 * plain  # ΔSc at the target
                 blocked = (
-                    ((est_v + 1.0) > maxv)[None, :]
+                    (est_v[None, :] + vw[:, None] > maxv)
                     | (est_e[None, :] + deg[:, None] > maxe)
                     | (est_c[None, :] + d_cut_gain > maxc)
                 )
@@ -207,7 +208,6 @@ def edge_refine_phase(comm: SimComm, state: RankState, iters: int) -> None:
                 move = (wsel != x) & (scores[rows, wsel] > scores[rows, x])
                 cand = np.flatnonzero(move)
                 if cand.size:
-                    vw = state.vweights[lids]
                     cap_v = (maxv - est_v) / max(mult, 1e-12)
                     cap_e = (maxe - est_e) / max(mult, 1e-12)
                     cap_c = (maxc - est_c) / max(mult, 1e-12)

@@ -22,10 +22,9 @@ order, so the receive-side writes — and everything downstream — are
 bit-identical.
 
 Receive buffers are consumed read-only (indexed assignment *from* them
-into the rank-local ``parts`` array), which is what lets the procs
-backend's shm data plane deliver them as zero-copy shared-memory views:
-the hot-path exchange of the whole partitioner moves descriptors, not
-bytes (:mod:`repro.simmpi.dataplane`).
+into the rank-local ``parts`` array), which is what lets the in-process
+backends deliver them as sealed views shared by every rank
+(:mod:`repro.simmpi.dataplane`).
 """
 
 from __future__ import annotations

@@ -41,9 +41,9 @@ edge cut within a few percent of the exhaustive sweeps).
 Determinism: the active set lives in a boolean mask over owned lids and
 is materialized with ``flatnonzero`` (ascending lids), then chunked with
 the same ``params.block_size`` as a full sweep.  A full active set
-therefore yields bit-identical blocks — hence bit-identical moves — to
-an exhaustive sweep (``params.frontier = "full"`` forces this every
-iteration; ``False`` bypasses the engine's bookkeeping entirely).  Every
+therefore yields the same blocks — hence the same moves — as an
+exhaustive sweep (``params.frontier = False`` sweeps exhaustively every
+iteration and bypasses the engine's bookkeeping entirely).  Every
 block is strictly ascending, as ``RankState.block_part_counts``
 requires; a full-sweep block is a contiguous lid range, which that
 kernel reads as one CSR slice instead of gathering it.
@@ -106,17 +106,13 @@ class FrontierSweeper:
         #: approximation missed
         self.cleanup_iter = cleanup_iter
         self._iter = 0
-        mode = state.params.frontier
-        # track=False → legacy full sweeps with zero frontier bookkeeping;
-        # "full" keeps the bookkeeping but re-seeds everything (bit-identity
-        # verification mode)
-        self.track = bool(mode)
-        self.force_full = mode == "full"
+        # track=False → legacy full sweeps with zero frontier bookkeeping
+        self.track = state.params.frontier
         #: active owned lids for the current iteration; None = all owned
         self._frontier: Optional[np.ndarray] = None
         self._moved: List[np.ndarray] = []
         self._edges_mark = state.edges_touched
-        if self.track and not self.force_full:
+        if self.track:
             # per-vertex touch accumulator + activation thresholds
             self._dirt = np.zeros(self.dg.n_local, dtype=np.int64)
             self._thresh = np.maximum(
@@ -125,7 +121,7 @@ class FrontierSweeper:
         else:
             self._dirt = None
             self._thresh = None
-        if seed_lids is not None and self.track and not self.force_full:
+        if seed_lids is not None and self.track:
             # caller knows where the action is (e.g. multilevel projection
             # seeds cluster boundaries): start from that active set instead
             # of the exhaustive iteration-0 sweep.  The cleanup pass still
@@ -182,9 +178,7 @@ class FrontierSweeper:
         """Yield the iteration's active lids in ``block_size`` chunks.
 
         A full sweep yields contiguous ``arange`` chunks of owned lids;
-        an explicit full frontier (``frontier="full"``) yields the same
-        lids with the same boundaries, preserving the between-block
-        estimate-refresh schedule bit-for-bit.
+        an active-set sweep yields ascending slices of the frontier.
         """
         self._edges_mark = self.state.edges_touched
         if self._iter == self.cleanup_iter:
@@ -230,16 +224,10 @@ class FrontierSweeper:
         )
         self._iter += 1
         if self.track:
-            if self.force_full:
-                # verification mode: seed every owned vertex, exercising
-                # the explicit-lids chunking path; charges nothing extra,
-                # so stats AND partitions must match the legacy path
-                self._frontier = np.arange(self.dg.n_local, dtype=np.int64)
-            else:
-                self._seed_next(moved, ghost_lids)
-                # frontier-maintenance work rides the iteration's trailing
-                # collective (every phase Allreduces its size deltas next)
-                state.flush_work(comm)
+            self._seed_next(moved, ghost_lids)
+            # frontier-maintenance work rides the iteration's trailing
+            # collective (every phase Allreduces its size deltas next)
+            state.flush_work(comm)
         return moved
 
     def _seed_next(self, moved: np.ndarray, ghost_lids: np.ndarray) -> None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,15 @@ class PulpParams:
         (default): iteration 0 of every balance/refine phase sweeps all
         owned vertices, later iterations re-score only vertices that moved
         or are adjacent to a moved vertex (owned or ghost).  ``False``:
-        legacy full sweeps every iteration.  ``"full"``: run the frontier
-        machinery but re-seed every owned vertex each iteration — a
-        verification mode that must reproduce the legacy path bit-for-bit
-        (enforced by the frontier tests).
+        legacy full sweeps every iteration.
     wire:
         ``ExchangeUpdates`` message format (:mod:`repro.dist.wire`).
         ``"compact"`` (default): owner-relative ghost-slot addressing in
         the narrowest sufficient dtypes (4–8 bytes/record, applied on
         receive by direct indexing); ``"gid64"``: the paper's interleaved
         64-bit ``(gid, part)`` pairs (16 bytes/record, gid ``searchsorted``
-        on receive) — kept as a bit-identity verification mode, same
-        pattern as ``frontier="full"`` (enforced by the wire tests).
+        on receive) — kept as a bit-identity verification mode (enforced
+        by the wire tests).
     comm:
         Communicator strategy spec (:mod:`repro.simmpi.topology`), the
         ChainerMN-style ``name[:ranks_per_node[xnodes_per_rack]]`` grammar:
@@ -124,7 +121,7 @@ class PulpParams:
     vert_imbalance: float = 0.10
     edge_imbalance: float = 0.10
     block_size: int = 4096
-    frontier: Union[bool, str] = True
+    frontier: bool = True
     wire: str = "compact"
     comm: Optional[str] = None
     re_init: float = 1.0
@@ -152,9 +149,9 @@ class PulpParams:
             raise ValueError("imbalance ratios must be non-negative")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if self.frontier not in (True, False, "full"):
+        if self.frontier not in (True, False):
             raise ValueError(
-                f"frontier must be True, False, or 'full', got {self.frontier!r}"
+                f"frontier must be True or False, got {self.frontier!r}"
             )
         if self.wire not in ("compact", "gid64"):
             raise ValueError(

@@ -18,9 +18,8 @@ communication record stay bit-identical.
 Zero-copy contract: both :meth:`ExchangePlan.pull` and
 :meth:`ExchangePlan.push` consume their received buffer read-only (indexed
 assignment / ``ufunc.at`` reads *from* it into the caller's ``values``),
-so under the procs backend's shm data plane
-(:mod:`repro.simmpi.dataplane`) the receive side is a zero-copy shared
-view and every plan exchange moves descriptors, not payload bytes.
+so in-process backends can hand every rank a sealed shared view of one
+merged buffer (:mod:`repro.simmpi.dataplane`).
 """
 
 from __future__ import annotations

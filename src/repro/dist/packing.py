@@ -18,9 +18,9 @@ bucketing (the argsort it replaces was O(n log n) comparison sorting).
 
 Zero-copy contract: packers *produce* fresh buffers (fancy indexing
 copies), so senders may hand them to a collective and forget them; the
-matching *received* buffers may be read-only shared-memory views under the
-procs backend's shm data plane (:mod:`repro.simmpi.dataplane`), so
-consumers — :func:`unpack_fields` included — must never write into them
+matching *received* buffers may be sealed read-only views shared by every
+in-process rank (:mod:`repro.simmpi.dataplane`), so consumers —
+:func:`unpack_fields` included — must never write into them
 (slice/index/cast, or :func:`repro.simmpi.dataplane.materialize` first).
 """
 

@@ -27,13 +27,6 @@ The default backend (used when ``backend=None``) is ``threads``, overridable
 with the ``REPRO_BACKEND`` environment variable — which is how CI runs the
 whole backend-tagged test selection once per backend.  Third-party backends
 can be added with :func:`register_backend`.
-
-The ``procs`` backend additionally has a selectable **data plane**
-(:mod:`repro.simmpi.dataplane`): ``shm`` (default) moves large payloads as
-zero-copy shared-memory descriptors, ``pickle`` is the original
-copy-through transport kept for verification.  Select it with the
-``dataplane`` argument or ``$REPRO_DATAPLANE``; the in-process backends
-ignore it (they have no wire to cross).
 """
 
 from __future__ import annotations
@@ -80,7 +73,6 @@ def create_runtime(
     nprocs: int,
     meter_compute: bool = True,
     comm: Union[str, None, Communicator] = None,
-    dataplane: Optional[str] = None,
     result_sharing: Optional[str] = None,
     watchdog: Any = None,
     integrity: Optional[str] = None,
@@ -104,12 +96,6 @@ def create_runtime(
         :class:`~repro.simmpi.topology.Communicator` instance, or None to
         honor ``$REPRO_COMM`` falling back to ``"flat"``.  See
         :mod:`repro.simmpi.topology`.
-    dataplane:
-        Payload transport for the ``procs`` backend (``"shm"`` zero-copy
-        descriptors — the default — or ``"pickle"`` copy-through), or None
-        to honor ``$REPRO_DATAPLANE``.  Backends without a data plane
-        accept only None (they move no bytes between address spaces).  See
-        :mod:`repro.simmpi.dataplane`.
     result_sharing:
         In-process result delivery (``"shared"`` sealed read-only results
         handed to every rank — the default — or ``"copy"`` historical
@@ -164,15 +150,7 @@ def create_runtime(
             f"unknown execution backend {name!r}; "
             f"valid choices: {available_backends()}"
         ) from None
-    kwargs = {"meter_compute": meter_compute}
-    if dataplane is not None:
-        if not issubclass(cls, ProcsBackend):
-            raise ValueError(
-                f"backend {name!r} has no data plane; dataplane= applies "
-                f"to 'procs' only"
-            )
-        kwargs["dataplane_name"] = dataplane
-    rt = cls(nprocs, **kwargs)
+    rt = cls(nprocs, meter_compute=meter_compute)
     rt.comm_strategy = create_communicator(comm, nprocs=nprocs)
     if result_sharing is not None:
         rt.result_sharing = result_sharing

@@ -19,21 +19,11 @@ done/collective actions become a
 releases every rank with :class:`~repro.simmpi.errors.RemoteRankError`
 while the original exception is re-raised from :meth:`ProcsBackend.run`.
 
-How payload *bytes* move is the backend's **data plane**
-(:mod:`repro.simmpi.dataplane`), selected per backend instance or via
-``$REPRO_DATAPLANE``:
-
-* ``shm`` (default) — zero-copy descriptor passing.  Large NumPy buffers
-  are parked in per-rank arena segments (send arenas for contributions,
-  rank 0's result arena for results) and the slots carry compact
-  ``(segment, offset, nbytes)`` descriptors; receivers materialize
-  read-only ``np.frombuffer`` views and account for their lifetime with
-  per-rank release cursors so result segments are recycled only once no
-  rank still views them.
-* ``pickle`` — the original copy-through plane (every payload byte is
-  written into the slot and copied back out on receive), kept as the
-  verification mode; ``benchmarks/test_procs_zero_copy.py`` gates the
-  shm plane's wall-clock win and bit-identity against it.
+Payload bytes move by copy: each action is pickled (protocol 5, NumPy
+buffers out-of-band and inlined after the pickle) into the sender's slot,
+and receivers copy every buffer back out, so returned arrays own writable
+data.  Per-iteration traffic is small (an Alltoallv of moved labels and an
+Allreduce of part deltas), so the copies never bound a run.
 
 Shared-memory lifecycle: all slots are created by the parent **before**
 forking (so every process shares one resource tracker), a slot that outgrows
@@ -41,15 +31,13 @@ its segment creates a replacement and immediately unlinks the old one, and
 the parent unlinks whatever segment each slot currently names in a
 ``finally`` — on normal exit *and* when a rank raises — so no segment and no
 ``resource_tracker`` warning outlives a run.  Every segment of a session
-carries a unique session prefix in its (explicit) name — arena segments
-under the ``dp`` sub-prefix — so teardown sweeps the arenas (whose segments
-intentionally live until teardown) and then reclaims anything orphaned by a
-creator that died *mid-replacement* — the window where a freshly-grown
-segment exists but no live slot names it yet.  A child killed hard at any
-point (even ``os._exit`` inside a superstep, as the fault-injection tests
-do) therefore leaks nothing.  The parent also supervises the children: if
-one dies without reporting (hard crash), it breaks the barrier so the
-surviving ranks error out instead of hanging.
+carries a unique session prefix in its (explicit) name, so teardown also
+reclaims anything orphaned by a creator that died *mid-replacement* — the
+window where a freshly-grown segment exists but no live slot names it yet.
+A child killed hard at any point (even ``os._exit`` inside a superstep, as
+the fault-injection tests do) therefore leaks nothing.  The parent also
+supervises the children: if one dies without reporting (hard crash), it
+breaks the barrier so the surviving ranks error out instead of hanging.
 
 Requires the ``fork`` start method (fork is what lets closures and
 unpicklable shared arguments reach the ranks), so this backend is
@@ -69,12 +57,11 @@ import traceback
 import uuid
 import zlib
 from multiprocessing import shared_memory, sharedctypes
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.ft.watchdog import HeartbeatBoard, Watchdog, WatchdogConfig
-from repro.simmpi import dataplane
 from repro.simmpi.backends.base import Backend
 from repro.simmpi.errors import (
     CollectiveMismatchError,
@@ -87,7 +74,8 @@ from repro.simmpi.errors import (
 )
 
 # (pickle length, buffer-spec length, inlined-buffer length, crc32).  The
-# crc is over the whole written region (payload + spec + inlined buffers);
+# spec is the pickled list of out-of-band buffer lengths; the crc is over the
+# whole written region (payload + spec + inlined buffers);
 # -1 means "no checksum" (integrity off), so the layout is shared by both
 # integrity modes and only the verification work is conditional.
 _HEADER = struct.Struct("<qqqq")
@@ -177,11 +165,8 @@ class _Slot:
     Writers and readers of one slot are separated by the superstep barriers,
     so the slot itself needs no locking.
 
-    Layout: the fixed header, the pickle of the object, the pickled
-    buffer-spec list (one entry per out-of-band buffer: an ``int`` byte
-    count for a buffer inlined after the spec, or a
-    :class:`~repro.simmpi.dataplane.ShmSpec` descriptor for a buffer parked
-    in an arena segment), then the inlined buffers in order.
+    Layout: the fixed header, the pickle of the object, the pickled list
+    of out-of-band buffer byte counts, then those buffers in order.
     """
 
     INITIAL = 1 << 16
@@ -248,37 +233,15 @@ class _Slot:
         seg.unlink()
         return new
 
-    def write(self, obj: Any,
-              arena: Optional[dataplane.SendArena] = None) -> None:
-        """Serialize ``obj`` into the slot (NumPy buffers out-of-band).
-
-        With an ``arena`` (the shm data plane), out-of-band buffers of at
-        least :data:`~repro.simmpi.dataplane.DESCRIPTOR_MIN` bytes are
-        placed through the arena and only their descriptors enter the slot;
-        smaller buffers — and, without an arena, all buffers — are inlined.
-        """
+    def write(self, obj: Any) -> None:
+        """Serialize ``obj`` into the slot (NumPy buffers out-of-band,
+        inlined after the pickle)."""
         oob: List[pickle.PickleBuffer] = []
         payload = pickle.dumps(obj, protocol=5, buffer_callback=oob.append)
         raws = [b.raw() for b in oob]
-        entries: List[Any] = []
-        inline: List[memoryview] = []
-        if arena is not None:
-            arena.begin_write(sum(
-                r.nbytes for r in raws
-                if r.nbytes >= dataplane.DESCRIPTOR_MIN
-            ))
-            for r in raws:
-                if r.nbytes >= dataplane.DESCRIPTOR_MIN:
-                    entries.append(arena.place(r))
-                else:
-                    entries.append(r.nbytes)
-                    inline.append(r)
-        else:
-            for r in raws:
-                entries.append(r.nbytes)
-                inline.append(r)
-        spec = pickle.dumps(entries, protocol=5) if entries else b""
-        inline_len = sum(r.nbytes for r in inline)
+        sizes = [r.nbytes for r in raws]
+        spec = pickle.dumps(sizes, protocol=5) if sizes else b""
+        inline_len = sum(sizes)
         total = _HEADER.size + len(payload) + len(spec) + inline_len
         buf = self._ensure(total).buf
         off = _HEADER.size
@@ -286,7 +249,7 @@ class _Slot:
         off += len(payload)
         buf[off:off + len(spec)] = spec
         off += len(spec)
-        for r in inline:
+        for r in raws:
             buf[off:off + r.nbytes] = r
             off += r.nbytes
         # checksum the bytes as written to shared memory — the region a
@@ -294,25 +257,17 @@ class _Slot:
         crc = zlib.crc32(buf[_HEADER.size:off]) if self._integrity else -1
         _HEADER.pack_into(buf, 0, len(payload), len(spec), inline_len, crc)
 
-    def read(
-        self, mode: str, cache: Optional[dataplane.SegmentCache] = None,
-    ) -> Tuple[Any, List[Tuple[memoryview, int]]]:
-        """Deserialize the slot; returns ``(obj, leases)``.
+    def read(self, mode: str) -> Any:
+        """Deserialize the slot.
 
         ``mode`` sets how out-of-band buffers materialize:
 
-        * ``"borrow"`` — zero-copy for everything (slot windows for inlined
-          buffers, arena views for descriptors).  Only safe for consumers
-          that drop every reference before the slot/arena is rewritten: the
+        * ``"borrow"`` — zero-copy slot windows.  Only safe for consumers
+          that drop every reference before the slot is rewritten: the
           designated computer reading contributions within one superstep.
-        * ``"view"`` — rank-facing zero-copy: descriptors become read-only
-          arena views, returned as ``(view, address)`` leases for the
-          caller's :class:`~repro.simmpi.dataplane.ViewLedger`; inlined
-          buffers are copied (small, and the copies stay privately
-          writable).
         * ``"own"`` — every buffer is copied out, so returned arrays own
-          writable data (the pickle data plane, and the parent collecting
-          exit payloads after the children are gone).
+          writable data (ranks reading their results, and the parent
+          collecting exit payloads after the children are gone).
         """
         buf = self._segment().buf
         payload_len, spec_len, inline_len, crc = _HEADER.unpack_from(buf, 0)
@@ -332,42 +287,17 @@ class _Slot:
         off = _HEADER.size
         payload = bytes(buf[off:off + payload_len])
         off += payload_len
-        entries: List[Any] = (
+        sizes: List[int] = (
             pickle.loads(bytes(buf[off:off + spec_len])) if spec_len else []
         )
         off += spec_len
         buffers: List[Any] = []
-        leases: List[Tuple[memoryview, int]] = []
-        for e in entries:
-            if isinstance(e, dataplane.ShmSpec):
-                assert cache is not None, "descriptor read needs a cache"
-                view = cache.view(e)
-                if e.crc != -1:
-                    self.nchecks += 1
-                    actual = zlib.crc32(view)
-                    if actual != e.crc:
-                        self.nfailures += 1
-                        raise PayloadCorruptionError(
-                            f"arena descriptor checksum mismatch (expected "
-                            f"{e.crc:#010x}, got {actual:#010x}) for "
-                            f"{e.nbytes} bytes in segment {e.name!r}",
-                            location=f"descriptor {e.name!r}+{e.offset}",
-                        )
-                if mode == "own":
-                    buffers.append(bytearray(view))
-                else:
-                    buffers.append(view)
-                    if mode == "view":
-                        leases.append(
-                            (view, dataplane._buffer_address(view))
-                        )
-            else:  # inlined, e is the byte count
-                window = buf[off:off + e]
-                off += e
-                # bytearray, not bytes: rank-facing copies must be writable
-                buffers.append(window if mode == "borrow"
-                               else bytearray(window))
-        return pickle.loads(payload, buffers=buffers), leases
+        for n in sizes:
+            window = buf[off:off + n]
+            off += n
+            # bytearray, not bytes: rank-facing copies must be writable
+            buffers.append(window if mode == "borrow" else bytearray(window))
+        return pickle.loads(payload, buffers=buffers)
 
     def corrupt(self, seed: int) -> bool:
         """Flip one byte of the last written message (fault injection).
@@ -411,14 +341,11 @@ class _Slot:
 
 
 class _Session:
-    """Per-run shared state: slots, barrier, failure cell, stats channel,
-    and the data plane's release cursors."""
+    """Per-run shared state: slots, barrier, failure cell, stats channel."""
 
-    def __init__(self, ctx, nprocs: int, plane: str,
-                 integrity: bool = False,
+    def __init__(self, ctx, nprocs: int, integrity: bool = False,
                  watchdog: Optional[WatchdogConfig] = None) -> None:
         self.nprocs = nprocs
-        self.dataplane = plane
         self.integrity = integrity
         self.watchdog = watchdog
         self.shm_prefix = _session_prefix()
@@ -435,51 +362,33 @@ class _Session:
         #: the session shape does not depend on the watchdog setting, but
         #: ranks only beat when a watchdog is configured.
         self.heartbeats = HeartbeatBoard(nprocs)
-        #: per-rank release cursors: the highest superstep whose zero-copy
-        #: result views that rank has fully dropped.  Rank 0 recycles a
-        #: result-arena segment only when min(cursors) has passed its last
-        #: write (fork-shared; written by each rank pre-barrier, read by
-        #: rank 0 post-barrier, so no torn reads matter — stale values are
-        #: merely conservative).
-        self.release_cursors = sharedctypes.RawArray(
-            "q", [-1] * nprocs
-        )
         self.stats_queue = ctx.SimpleQueue()
 
     def set_failure(self, exc: BaseException) -> None:
         self.failure.write(_sanitize_exc(exc))
         self.fail_flag.value = 1
 
-    def get_failure(
-        self, cache: Optional[dataplane.SegmentCache] = None,
-    ) -> Optional[BaseException]:
+    def get_failure(self) -> Optional[BaseException]:
         if not self.fail_flag.value:
             return None
-        exc, _ = self.failure.read("own", cache)
-        return exc
+        return self.failure.read("own")
 
     def teardown(self) -> List[str]:
         """Parent-side: destroy every live segment (idempotent), then sweep
         the session prefix for segments orphaned by a hard-killed child.
-
-        Arena segments (the ``dp`` sub-prefix) intentionally live until
-        teardown — zero-copy views may reference them to the very end — so
-        they are swept first as *expected* cleanup; only what the second
-        sweep then finds is a true orphan.  Returns the orphaned names
-        (``[]`` for clean runs)."""
+        Returns the orphaned names (``[]`` for clean runs)."""
         for slot in (*self.request, *self.response, self.failure):
             slot.unlink()
-        _sweep_shm(f"{self.shm_prefix}dp")
         return _sweep_shm(self.shm_prefix)
 
 
 class _RankEndpoint:
     """Rank-side collective engine; satisfies SimComm's runtime protocol."""
 
-    #: Procs results already cross a process boundary (pickle slots or shm
-    #: descriptors), so in-process result sharing buys nothing and would
-    #: leak the sealed (read-only) flag through pickling — pin the
-    #: historical copy semantics regardless of $REPRO_RESULT_SHARING.
+    #: Procs results already cross a process boundary (pickle slots), so
+    #: in-process result sharing buys nothing and would leak the sealed
+    #: (read-only) flag through pickling — pin the historical copy
+    #: semantics regardless of $REPRO_RESULT_SHARING.
     result_sharing = "copy"
 
     def __init__(self, session: _Session, rank: int, meter_compute: bool,
@@ -498,20 +407,6 @@ class _RankEndpoint:
             session.watchdog.rank_barrier_timeout()
             if session.watchdog is not None else None
         )
-        shm_plane = session.dataplane == "shm"
-        self._shm_plane = shm_plane
-        self._cache = dataplane.SegmentCache()
-        self._send_arena = (
-            dataplane.SendArena(f"{session.shm_prefix}dps{rank}",
-                                integrity=session.integrity)
-            if shm_plane else None
-        )
-        self._result_arena = (
-            dataplane.ResultArena(f"{session.shm_prefix}dpr",
-                                  integrity=session.integrity)
-            if shm_plane and rank == 0 else None
-        )
-        self._ledger = dataplane.ViewLedger() if shm_plane else None
 
     # SimComm calls this with the same signature as Backend.collective.
     def collective(
@@ -581,21 +476,14 @@ class _RankEndpoint:
     def _superstep(self, action: tuple, execute: Optional[Callable],
                    corrupt_seed: Optional[int] = None) -> tuple:
         sess = self._session
-        step = self._step
-        if self._ledger is not None:
-            # publish before the barrier so rank 0 reads it after: "every
-            # view of supersteps <= cursor is dead on this rank"
-            sess.release_cursors[self.rank] = self._ledger.released(step)
         if self._watchdog is not None:
             phase = action[2] if action[0] == "coll" else action[0]
-            sess.heartbeats.beat(self.rank, step, phase)
-        sess.request[self.rank].write(action, arena=self._send_arena)
+            sess.heartbeats.beat(self.rank, self._step, phase)
+        sess.request[self.rank].write(action)
         if corrupt_seed is not None:
             # in-flight corruption: flip one byte after the checksum (if
-            # any) was sealed — arena payload first, slot region otherwise
-            if (self._send_arena is None
-                    or not self._send_arena.corrupt(corrupt_seed)):
-                sess.request[self.rank].corrupt(corrupt_seed)
+            # any) was sealed
+            sess.request[self.rank].corrupt(corrupt_seed)
         self._barrier()
         if self.rank == 0:
             try:
@@ -605,17 +493,12 @@ class _RankEndpoint:
         else:
             self._barrier()
         self._step += 1
-        failure = sess.get_failure(self._cache)
+        failure = sess.get_failure()
         if failure is not None:
             raise RemoteRankError(
                 f"rank {self.rank}: aborted"
             ) from failure
-        obj, leases = sess.response[self.rank].read(
-            "view" if self._shm_plane else "own", self._cache
-        )
-        if self._ledger is not None:
-            self._ledger.track(obj, leases, step)
-        return obj
+        return sess.response[self.rank].read("own")
 
     def _compute(self, execute: Optional[Callable]) -> None:
         """Designated-computer step (rank 0, between the two barriers).
@@ -636,14 +519,11 @@ class _RankEndpoint:
 
     def _compute_inner(self, execute: Optional[Callable]) -> None:
         sess = self._session
-        arena = self._result_arena
-        if arena is not None:
-            arena.begin_step(self._step, min(sess.release_cursors))
         nchecks0 = sum(s.nchecks for s in sess.request)
         # "borrow": zero-copy contribution views, valid only inside this
         # superstep — every reference is a local dropped on return, before
-        # the closing barrier lets the owning ranks overwrite their arenas
-        actions = [sess.request[r].read("borrow", self._cache)[0]
+        # the closing barrier lets the owning ranks overwrite their slots
+        actions = [sess.request[r].read("borrow")
                    for r in range(self.nprocs)]
         kinds = [a[0] for a in actions]
         if "err" in kinds:
@@ -676,8 +556,7 @@ class _RankEndpoint:
         contribs = [a[6] for a in actions]
         try:
             assert execute is not None  # rank 0 posted "coll" too
-            with dataplane.compute_arena(arena):
-                results = execute(contribs)
+            results = execute(contribs)
         except BaseException as exc:
             sess.set_failure(_sanitize_exc(exc))
             return
@@ -695,17 +574,12 @@ class _RankEndpoint:
             sum(s.nchecks for s in sess.request) - nchecks0,
         ))
         for r, res in enumerate(results):
-            sess.response[r].write(("result", res), arena=arena)
+            sess.response[r].write(("result", res))
 
     def close(self) -> None:
         for slot in (*self._session.request, *self._session.response,
                      self._session.failure):
             slot.close()
-        if self._send_arena is not None:
-            self._send_arena.close()
-        if self._result_arena is not None:
-            self._result_arena.close()
-        self._cache.close()
 
 
 def _rank_process_main(
@@ -739,11 +613,10 @@ def _rank_process_main(
                 endpoint.drain()
             except RemoteRankError:
                 pass  # a peer failed while we drained; keep our result
-        # the exit payload may be large (per-rank partition arrays): ship
-        # it through the send arena too — the last superstep is over, the
-        # arena reset is safe, and its final segment lives until teardown
+        # the last superstep is over, so the request slot is free to carry
+        # the exit payload to the parent
         try:
-            session.request[rank].write(final, arena=endpoint._send_arena)
+            session.request[rank].write(final)
         except Exception:
             session.request[rank].write(
                 ("exit-err",
@@ -758,22 +631,13 @@ class ProcsBackend(Backend):
 
     name = "procs"
 
-    def __init__(self, nprocs: int, *, meter_compute: bool = True,
-                 dataplane_name: Optional[str] = None) -> None:
+    def __init__(self, nprocs: int, *, meter_compute: bool = True) -> None:
         super().__init__(nprocs, meter_compute=meter_compute)
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ValueError(
                 "the 'procs' backend requires the 'fork' start method "
                 "(POSIX); use backend='threads' or 'serial' instead"
             )
-        if dataplane_name is None:
-            dataplane_name = dataplane.default_dataplane()
-        if dataplane_name not in dataplane.DATAPLANES:
-            raise ValueError(
-                f"unknown data plane {dataplane_name!r}; "
-                f"choices: {dataplane.DATAPLANES}"
-            )
-        self.dataplane = dataplane_name
         self._ctx = multiprocessing.get_context("fork")
         #: shm name prefix of the most recent session and the orphaned
         #: segment names its teardown sweep reclaimed (hygiene tests
@@ -788,7 +652,7 @@ class ProcsBackend(Backend):
         rank_args: Optional[Sequence[Sequence[Any]]],
         kwargs: dict,
     ) -> List[Any]:
-        session = _Session(self._ctx, self.nprocs, self.dataplane,
+        session = _Session(self._ctx, self.nprocs,
                            integrity=self.integrity == "crc",
                            watchdog=self.watchdog)
         self.last_shm_prefix = session.shm_prefix
@@ -859,52 +723,48 @@ class ProcsBackend(Backend):
         results: List[Any] = [None] * self.nprocs
         errors: List[Optional[BaseException]] = [None] * self.nprocs
         killed = tuple(watchdog.killed) if watchdog is not None else ()
-        cache = dataplane.SegmentCache()
-        try:
-            for r in range(self.nprocs):
-                if r in killed:
-                    # watchdog kill: typed as a hang, not a generic remote
-                    # death, so the recovery supervisor can classify it
-                    errors[r] = HungRankError(
-                        f"rank {r} made no progress for "
-                        f"{watchdog.detection_seconds:.3g}s (deadline "
-                        f"{watchdog.config.timeout:.3g}s) in phase "
-                        f"{watchdog.killed_phase!r}; killed by the watchdog",
-                        ranks=killed,
-                        phase=watchdog.killed_phase,
-                        detection_seconds=watchdog.detection_seconds,
-                    )
+        for r in range(self.nprocs):
+            if r in killed:
+                # watchdog kill: typed as a hang, not a generic remote
+                # death, so the recovery supervisor can classify it
+                errors[r] = HungRankError(
+                    f"rank {r} made no progress for "
+                    f"{watchdog.detection_seconds:.3g}s (deadline "
+                    f"{watchdog.config.timeout:.3g}s) in phase "
+                    f"{watchdog.killed_phase!r}; killed by the watchdog",
+                    ranks=killed,
+                    phase=watchdog.killed_phase,
+                    detection_seconds=watchdog.detection_seconds,
+                )
+                continue
+            outcome: Any = None
+            if procs[r].exitcode == 0:
+                try:
+                    outcome = session.request[r].read("own")
+                except PayloadCorruptionError as exc:
+                    errors[r] = exc
                     continue
-                outcome: Any = None
-                if procs[r].exitcode == 0:
-                    try:
-                        outcome, _ = session.request[r].read("own", cache)
-                    except PayloadCorruptionError as exc:
-                        errors[r] = exc
-                        continue
-                    except Exception:
-                        outcome = None
-                if not (isinstance(outcome, tuple) and len(outcome) == 2
-                        and outcome[0] in ("exit-ok", "exit-err")):
-                    errors[r] = RemoteRankError(
-                        f"rank {r} process died without reporting "
-                        f"(exitcode {procs[r].exitcode})"
-                    )
-                elif outcome[0] == "exit-err":
-                    errors[r] = outcome[1]
-                else:
-                    results[r] = outcome[1]
-            failure = session.get_failure(cache)
-            # the parent's own slot reads above verified checksums too
-            self.stats.checksum_verifications += (
-                sum(s.nchecks for s in session.request)
-                + session.failure.nchecks
-            )
-            self.stats.checksum_failures += sum(
-                1 for e in (*errors, failure)
-                if isinstance(e, PayloadCorruptionError)
-            )
-            self._raise_collected(errors, failure)
-        finally:
-            cache.close()
+                except Exception:
+                    outcome = None
+            if not (isinstance(outcome, tuple) and len(outcome) == 2
+                    and outcome[0] in ("exit-ok", "exit-err")):
+                errors[r] = RemoteRankError(
+                    f"rank {r} process died without reporting "
+                    f"(exitcode {procs[r].exitcode})"
+                )
+            elif outcome[0] == "exit-err":
+                errors[r] = outcome[1]
+            else:
+                results[r] = outcome[1]
+        failure = session.get_failure()
+        # the parent's own slot reads above verified checksums too
+        self.stats.checksum_verifications += (
+            sum(s.nchecks for s in session.request)
+            + session.failure.nchecks
+        )
+        self.stats.checksum_failures += sum(
+            1 for e in (*errors, failure)
+            if isinstance(e, PayloadCorruptionError)
+        )
+        self._raise_collected(errors, failure)
         return results

@@ -12,17 +12,8 @@ Byte-accounting convention (see :mod:`repro.simmpi.metrics`): a rank's
 Alltoall(v) (self-directed slices excluded), and the standard pipelined/
 butterfly bandwidth proxy for rooted and all- collectives.
 
-Result allocation goes through :func:`repro.simmpi.dataplane.result_buffer`:
-inert ``np.empty`` on the in-process backends and the pickle data plane,
-but under the procs backend's shm data plane the designated computer's
-merges land directly in the shared result arena, so receivers materialize
-them zero-copy.  Executes that deliver one result object to *several*
-ranks hand the same object to all of them when
-:func:`~repro.simmpi.dataplane.plane_active` (receivers get independent
-read-only views — safe across processes).
-
-In-process backends (serial/threads) share an address space, so object
-sharing there needs the read-only contract instead: in the default
+Each collective's ``execute`` has two delivery paths.  In-process backends
+(serial/threads) share an address space, so in the default
 ``shared`` result mode (:func:`~repro.simmpi.dataplane.default_result_sharing`)
 the one-result collectives — ``Allreduce``, ``Bcast``, ``Allgatherv``,
 ``allgather`` — hand every rank the *same* sealed (non-writeable) array,
@@ -31,9 +22,11 @@ all-to-all collectives replace their per-destination Python merge loops
 with one vectorized destination bucketing whose per-rank results are
 sealed views of a single buffer.  A rank that must mutate a received
 result calls :func:`~repro.simmpi.dataplane.materialize` (copy-on-write).
-``result_sharing="copy"`` keeps the historical per-rank private copies as
-the verification mode; either way the *values* are bit-identical on every
-backend, data plane, and sharing mode.
+The ``copy`` path hands each rank a private copy instead: it is what the
+procs backend runs (its results are pickled into per-rank slots anyway)
+and, in-process, ``result_sharing="copy"`` keeps it as the verification
+mode.  Either way the *values* are bit-identical on every backend and
+sharing mode.
 """
 
 from __future__ import annotations
@@ -77,30 +70,13 @@ def _common_dtype(bufs: Sequence[np.ndarray], what: str) -> Optional[np.dtype]:
     return dtypes.pop() if dtypes else None
 
 
-def _copy_result(array: np.ndarray) -> np.ndarray:
-    """A private copy of one rank's result — arena-backed when the shm
-    data plane is computing (so the copy is the *only* copy the result
-    pays), plain ``array.copy()`` semantics everywhere else."""
-    out = _dataplane.result_buffer(array.shape, array.dtype)
-    np.copyto(out, array)
-    return out
-
-
 def _merge_pieces(
     pieces: Sequence[np.ndarray], fallback: np.dtype
 ) -> np.ndarray:
     """Concatenate per-source slices, skipping empties so a zero-length
     contribution's dtype never promotes the result."""
     live = [p for p in pieces if p.size]
-    if not live:
-        return np.empty(0, dtype=fallback)
-    if len(live) == 1:
-        return _copy_result(live[0])
-    out = _dataplane.result_buffer(
-        (sum(p.shape[0] for p in live),), live[0].dtype
-    )
-    np.concatenate(live, out=out)
-    return out
+    return np.concatenate(live) if live else np.empty(0, dtype=fallback)
 
 
 def _dest_perm(cmat: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -384,11 +360,6 @@ class SimComm:
         def execute(contribs: List[Any]) -> List[Any]:
             value = contribs[root]
             n = len(contribs)
-            if _dataplane.plane_active():
-                # one shared result object: copied into the arena once at
-                # descriptor-write time, then descriptor-shared; the root
-                # needs nothing back (it keeps its own array)
-                return [None if r == root else value for r in range(n)]
             if share:
                 # one sealed copy shared by every non-root rank; the
                 # root's own (writable) array is never sealed — it keeps
@@ -411,8 +382,6 @@ class SimComm:
             if len(shapes) != 1:
                 raise ValueError(f"Allreduce shape mismatch across ranks: {shapes}")
             total = reducer(np.stack(contribs), axis=0)
-            if _dataplane.plane_active():
-                return [total] * len(contribs)
             if share:
                 return [_dataplane.seal(total)] * len(contribs)
             return [total if r == 0 else total.copy() for r in range(len(contribs))]
@@ -446,18 +415,8 @@ class SimComm:
         def execute(contribs: List[Any]) -> List[Any]:
             counts = np.array([c.shape[0] for c in contribs], dtype=np.int64)
             total = int(counts.sum())
-            if total:
-                # same dtype promotion as np.concatenate (empties included),
-                # merged straight into the arena under the shm data plane
-                merged = _dataplane.result_buffer(
-                    (total,), np.result_type(*contribs)
-                )
-                np.concatenate(contribs, out=merged)
-            else:
-                merged = contribs[0][:0]
+            merged = np.concatenate(contribs) if total else contribs[0][:0]
             result = (merged, counts)
-            if _dataplane.plane_active():
-                return [result] * len(contribs)
             if share:
                 _dataplane.seal(merged)
                 _dataplane.seal(counts)
@@ -477,13 +436,7 @@ class SimComm:
         def execute(contribs: List[Any]) -> List[Any]:
             counts = np.array([c.shape[0] for c in contribs], dtype=np.int64)
             total = int(counts.sum())
-            if total:
-                merged = _dataplane.result_buffer(
-                    (total,), np.result_type(*contribs)
-                )
-                np.concatenate(contribs, out=merged)
-            else:
-                merged = contribs[0][:0]
+            merged = np.concatenate(contribs) if total else contribs[0][:0]
             out: List[Any] = [None] * len(contribs)
             out[root] = (merged, counts)
             return out
@@ -514,9 +467,9 @@ class SimComm:
             offsets = np.zeros(len(contribs) + 1, dtype=np.int64)
             np.cumsum(cts_, out=offsets[1:])
             # the root's own piece stays a view of its input; other ranks
-            # get private copies (arena-backed under the shm data plane)
+            # get private copies
             return [
-                _copy_result(arr_[offsets[r]:offsets[r + 1]]) if r != root
+                arr_[offsets[r]:offsets[r + 1]].copy() if r != root
                 else arr_[offsets[r]:offsets[r + 1]]
                 for r in range(len(contribs))
             ]
@@ -550,7 +503,7 @@ class SimComm:
 
         def execute(contribs: List[Any]) -> List[Any]:
             stacked = np.stack(contribs)  # [src, dst, ...]
-            if share and not _dataplane.plane_active():
+            if share:
                 # one contiguous [dst, src, ...] transpose; each rank's
                 # result is a sealed row view — same values as the
                 # per-rank column copies, one vectorized copy total
@@ -559,7 +512,7 @@ class SimComm:
                     np.ascontiguousarray(stacked.transpose(axes))
                 )
                 return [out[r] for r in range(len(contribs))]
-            return [_copy_result(stacked[:, r]) for r in range(len(contribs))]
+            return [stacked[:, r].copy() for r in range(len(contribs))]
 
         return self._collective("alltoall", arr, nbytes, execute,
                                 dest_bytes=dest, counts=counts)
@@ -600,7 +553,7 @@ class SimComm:
             bufs = [c[0] for c in contribs]
             counts = [c[1] for c in contribs]
             wire_dtype = _common_dtype(bufs, "Alltoallv")
-            if share and not _dataplane.plane_active():
+            if share:
                 cmat = np.stack(counts)
                 rcmat = _dataplane.seal(np.ascontiguousarray(cmat.T))
                 if wire_dtype is None:
@@ -695,7 +648,7 @@ class SimComm:
                 _common_dtype([b[j] for b in all_bufs], "Alltoallv_fields")
                 for j in range(k)
             ]
-            if share and not _dataplane.plane_active():
+            if share:
                 cmat = np.stack(counts)
                 rcmat = _dataplane.seal(np.ascontiguousarray(cmat.T))
                 if all(d is None for d in wire_dtypes):

@@ -2,9 +2,8 @@
 
 Three guarantees are enforced here:
 
-1. a frontier seeded with *all* vertices every iteration
-   (``frontier="full"``) reproduces the legacy exhaustive-sweep partition
-   bit-for-bit, including the communication record;
+1. both sweep modes are deterministic, and ``frontier`` accepts only a
+   bool;
 2. the real active-set mode (``frontier=True``, the default) satisfies
    the same balance constraints as the legacy path, with edge cut within
    5% (hypothesis property test over random RMAT / Erdős–Rényi graphs);
@@ -33,24 +32,12 @@ def _run(graph, frontier, *, num_parts=8, nprocs=3, seed=123):
     )
 
 
-# -- 1. full-frontier bit-identity ------------------------------------------
-
-
-def test_full_frontier_matches_legacy_bit_for_bit():
-    g = generators.rmat(9, avg_degree=8, seed=11)
-    legacy = _run(g, False)
-    full = _run(g, "full")
-    np.testing.assert_array_equal(full.parts, legacy.parts)
-    # the verification mode charges nothing extra either: identical comm
-    # record, hence identical modeled time
-    assert full.stats.bytes_by_tag() == legacy.stats.bytes_by_tag()
-    assert full.stats.work_by_tag() == legacy.stats.work_by_tag()
-    assert full.modeled_seconds == legacy.modeled_seconds
+# -- 1. determinism and validation -----------------------------------------
 
 
 def test_frontier_modes_are_deterministic():
     g = generators.rmat(8, avg_degree=8, seed=5)
-    for mode in (True, False, "full"):
+    for mode in (True, False):
         a = _run(g, mode)
         b = _run(g, mode)
         np.testing.assert_array_equal(a.parts, b.parts)
@@ -60,6 +47,9 @@ def test_frontier_modes_are_deterministic():
 def test_frontier_param_validation():
     with pytest.raises(ValueError, match="frontier"):
         PulpParams(frontier="sometimes")
+    # the retired re-seed-everything verification mode is rejected too
+    with pytest.raises(ValueError, match="frontier"):
+        PulpParams(frontier="full")
 
 
 # -- 2. active-set quality stays within tolerance ---------------------------

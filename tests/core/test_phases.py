@@ -157,3 +157,40 @@ def test_tracked_edge_and_cut_sizes_match_recount():
     from repro.core.quality import cut_edges_per_part
 
     np.testing.assert_array_equal(sc, cut_edges_per_part(g, parts, p))
+
+
+
+def test_edge_refine_moves_heavy_vertex_to_best_feasible_part():
+    """A heavy vertex whose plurality part has room for a unit vertex but
+    not for its weight must move to its best part that fits it."""
+    from repro.graph.builders import from_edges
+
+    # part 0: a 10-clique plus the hub h (weight 10): Sv = 20 = maxv, and
+    # the largest edge size, so edge headroom never binds elsewhere;
+    # part 1: a 15-vertex path, 3 links to h (Sv = 15: +1 fits, +10 not);
+    # part 2: a 6-clique, 2 links to h (Sv = 6: +10 fits)
+    clique0 = [(a, b) for a in range(10) for b in range(a + 1, 10)]
+    path1 = [(a, a + 1) for a in range(10, 24)]
+    clique2 = [(a, b) for a in range(25, 31) for b in range(a + 1, 31)]
+    hub = 31
+    links = [(hub, v) for v in (11, 12, 13, 26, 27)]
+    edges = np.array(clique0 + path1 + clique2 + links)
+    g = from_edges(hub + 1, edges[:, 0], edges[:, 1])
+    assign = np.repeat([0, 1, 2, 0], [10, 15, 6, 1])
+    weights = np.ones(g.n)
+    weights[hub] = 10.0
+    dist = make_distribution("block", g.n, 1, seed=0)
+
+    def main(comm):
+        dg = build_dist_graph(comm, g, dist)
+        state = RankState(dg=dg, num_parts=3, params=PulpParams(seed=0))
+        state.set_vertex_weights(weights[dg.owned_gids], weights.sum())
+        state.parts[: dg.n_local] = assign[dg.owned_gids]
+        edge_refine_phase(comm, state, 1)
+        parts = np.empty(g.n, dtype=np.int64)
+        parts[dg.owned_gids] = state.parts[: dg.n_local]
+        return parts
+
+    parts = Runtime(1).run(main)[0]
+    assert parts[hub] == 2
+    np.testing.assert_array_equal(parts[:hub], assign[:hub])

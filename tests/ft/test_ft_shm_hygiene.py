@@ -48,20 +48,10 @@ def test_killed_rank_leaves_no_segments(ft_graph, ft_params, tmp_path):
     assert _leaked(rt.last_shm_prefix) == []
 
 
-def test_clean_run_pickle_plane_leaves_no_segments(ft_graph, ft_params):
-    """The copy-through pickle plane allocates no arena segments and still
-    sweeps its slot segments clean."""
-    rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False,
-                        dataplane="pickle")
-    xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params, backend=rt)
-    assert _leaked(rt.last_shm_prefix) == []
-    assert rt.last_shm_reclaimed == []
-
-
 def test_die_then_resume_leaves_no_segments(ft_graph, ft_params, tmp_path):
-    """Arena lifecycle across a crash: the killed session's arena segments
-    are reclaimed at teardown, and the resumed session (its own prefix,
-    its own arenas) exits clean too."""
+    """Segment lifecycle across a crash: the killed session's slot
+    segments are reclaimed at teardown, and the resumed session (its own
+    prefix, its own slots) exits clean too."""
     d = str(tmp_path / "run")
     crashed = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
     plan = FaultPlan([FaultSpec(1, "vertex_balance", 6, action="die")])

@@ -3,8 +3,7 @@
 The detection oracle: a planted ``corrupt`` fault (one byte flipped in an
 outgoing payload, after its checksum was computed) is detected 100% of the
 time when ``integrity="crc"`` — typed as
-:class:`PayloadCorruptionError` — on every backend and both procs data
-planes.  The purity oracle: with no fault injected, ``crc`` changes
+:class:`PayloadCorruptionError` — on every backend.  The purity oracle: with no fault injected, ``crc`` changes
 nothing but the verification counters.
 """
 
@@ -99,13 +98,10 @@ def test_inprocess_corruption_detected(ft_graph, ft_params, backend):
     assert "crc" in str(ei.value).lower() or "checksum" in str(ei.value)
 
 
-@pytest.mark.parametrize("dataplane", ["shm", "pickle"])
-def test_procs_corruption_detected_on_both_planes(ft_graph, ft_params,
-                                                  dataplane, monkeypatch):
-    """Transport-level detection: the flip lands in the rendezvous slot or
-    the shared-memory arena after checksumming, and the receive-side crc
-    catches it before deserialization."""
-    monkeypatch.setenv("REPRO_DATAPLANE", dataplane)
+def test_procs_corruption_detected(ft_graph, ft_params):
+    """Transport-level detection: the flip lands in the rendezvous slot
+    after checksumming, and the receive-side crc catches it before
+    deserialization."""
     with pytest.raises(PayloadCorruptionError):
         xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params,
                  backend="procs", fault_plan=_corrupt_plan(),

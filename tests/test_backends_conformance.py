@@ -378,6 +378,26 @@ def test_procs_runs_rank_code_in_separate_processes():
     assert os.getpid() not in out
 
 
+@pytest.mark.parametrize("wire", ["compact", "gid64"])
+@pytest.mark.parametrize("comm", ["flat", "hierarchical:2"])
+def test_procs_partitions_identical_across_wires_comms(wire, comm):
+    """Wire format x communicator strategy at partitioning scale: parts
+    and ``CommStats.signature()`` match the serial backend bit-for-bit,
+    and the procs session leaves no segment behind."""
+    from repro.core import PulpParams, xtrapulp
+    from repro.graph import generators
+
+    g = generators.rmat(9, avg_degree=8, seed=21)
+    params = PulpParams(seed=11, outer_iters=2, wire=wire, comm=comm)
+    ref = xtrapulp(g, 6, nprocs=4, params=params, backend="serial")
+    rt = create_runtime("procs", nprocs=4, meter_compute=False)
+    r = xtrapulp(g, 6, nprocs=4, params=params, backend=rt)
+    np.testing.assert_array_equal(r.parts, ref.parts)
+    assert r.stats.signature() == ref.stats.signature()
+    assert glob.glob(os.path.join(
+        "/dev/shm", glob.escape(rt.last_shm_prefix) + "*")) == []
+
+
 def test_serial_schedules_round_robin_deterministically():
     order = []
 
