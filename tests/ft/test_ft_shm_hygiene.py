@@ -8,6 +8,7 @@ orderly shutdown, possibly mid-growth of a segment — leaks nothing.
 import glob
 import os
 
+import numpy as np
 import pytest
 
 from repro.core import xtrapulp
@@ -34,6 +35,26 @@ def test_clean_run_leaves_no_segments(ft_graph, ft_params):
     xtrapulp(ft_graph, PARTS, nprocs=NPROCS, params=ft_params, backend=rt)
     assert _leaked(rt.last_shm_prefix) == []
     # nothing was left for the sweep to reclaim on the clean path
+    assert rt.last_shm_reclaimed == []
+
+
+def test_clean_run_pickle_plane_leaves_no_segments():
+    """The copy-through pickle plane grows each slot by superseding its
+    segment with a larger generation; a clean run whose payloads force
+    several generations still leaves no segment behind for the sweep."""
+    def grow(comm):
+        total = 0
+        for k in range(4):  # 128 KiB .. 1 MiB per rank: one growth a step
+            big = np.full(1 << (14 + k), comm.rank, dtype=np.int64)
+            merged, _ = comm.Allgatherv(big)
+            total += int(merged.sum())
+        return total
+
+    rt = create_runtime("procs", nprocs=NPROCS, meter_compute=False)
+    got = rt.run(grow)
+    want = sum((1 << (14 + k)) * sum(range(NPROCS)) for k in range(4))
+    assert got == [want] * NPROCS
+    assert _leaked(rt.last_shm_prefix) == []
     assert rt.last_shm_reclaimed == []
 
 
