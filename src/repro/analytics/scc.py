@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.dist.distgraph import DistGraph
 from repro.dist.ops import ExchangePlan
-from repro.graph.gather import neighbor_gather
+from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi.comm import SimComm
 
 
@@ -55,7 +55,7 @@ def _directed_reach(
             comm.charge(neigh.size)
             fresh = neigh[(reach[neigh] == 0) & alive[neigh]]
             if fresh.size:
-                reach[np.unique(fresh)] = 1
+                reach[sorted_unique(fresh)] = 1
         # ghost discoveries fold back to their owners, then owners'
         # authoritative state refreshes every ghost copy
         plan.push(comm, reach, op="max")

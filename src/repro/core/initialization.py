@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.exchange import exchange_updates
 from repro.core.state import UNASSIGNED, RankState
-from repro.graph.gather import neighbor_gather_with_sources
+from repro.graph.gather import neighbor_gather_with_sources, sorted_unique
 from repro.simmpi.comm import SimComm
 
 
@@ -29,22 +29,35 @@ def _random_distinct_neighbor_parts(
     """For each vertex in ``lids``, a uniformly random *distinct* part among
     its assigned neighbors' parts (Algorithm 2's RandTrueIndex).
 
+    Neighbourhoods are gathered ``block_size`` vertices at a time, so the
+    transient copies stay one block's size while the work stays
+    proportional to the arcs of ``lids``.
+
     Returns (chosen_parts, has_assigned_neighbor_mask).
     """
-    p = state.num_parts
-    neigh, srcs, _ = neighbor_gather_with_sources(
-        state.dg.offsets, state.dg.adj, lids
-    )
-    state.work_pending += 2.0 * neigh.size + float(lids.size)
-    nparts = state.parts[neigh]
-    ok = nparts >= 0
-    srcs, nparts = srcs[ok], nparts[ok]
+    dg, p = state.dg, state.num_parts
+    step = state.params.block_size
+    blocks = []
+    n_arcs = 0
+    for lo in range(0, lids.size, step):
+        neigh, srcs, _ = neighbor_gather_with_sources(
+            dg.offsets, dg.adj, lids[lo:lo + step]
+        )
+        n_arcs += neigh.size
+        nparts = state.parts[neigh]
+        ok = nparts >= 0
+        # dedupe (vertex, part) pairs so each distinct part is equally
+        # likely; blocks hold ascending position ranges, so the
+        # concatenated keys stay sorted
+        blocks.append(
+            sorted_unique((srcs[ok] + lo) * np.int64(p) + nparts[ok])
+        )
+    state.work_pending += 2.0 * n_arcs + float(lids.size)
     chosen = np.full(lids.size, UNASSIGNED, dtype=np.int64)
     has = np.zeros(lids.size, dtype=bool)
-    if srcs.size == 0:
+    keys = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    if keys.size == 0:
         return chosen, has
-    # dedupe (vertex, part) pairs so each distinct part is equally likely
-    keys = np.unique(srcs * np.int64(p) + nparts)
     verts = keys // p
     parts = keys % p
     # group boundaries per vertex in the deduped list

@@ -149,6 +149,11 @@ class PulpParams:
             raise ValueError("imbalance ratios must be non-negative")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if min(self.re_init, self.re_step, self.rc_init, self.rc_step) < 0:
+            # a negative bias term reverses the edge stage's attraction
+            raise ValueError(
+                "re_init, re_step, rc_init and rc_step must be non-negative"
+            )
         if self.frontier not in (True, False):
             raise ValueError(
                 f"frontier must be True or False, got {self.frontier!r}"

@@ -20,7 +20,7 @@ from repro.dist.distgraph import DistGraph
 from repro.dist.distribution import Distribution
 from repro.dist.packing import bucket_by_rank
 from repro.graph.csr import Graph
-from repro.graph.gather import neighbor_gather
+from repro.graph.gather import neighbor_gather, sorted_unique, unique_inverse
 from repro.simmpi.comm import SimComm
 
 
@@ -30,27 +30,17 @@ def _localize(
     owned_gids: np.ndarray,
     neighbor_gids: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Map neighbor gids → local ids; returns (local_adj, ghost_gids, owners)."""
-    owner_of = dist.owner(neighbor_gids) if neighbor_gids.size else np.empty(
-        0, dtype=np.int32
-    )
-    mine = owner_of == rank
-    local_adj = np.empty(neighbor_gids.size, dtype=np.int64)
-    if np.any(mine):
-        local_adj[mine] = dist.lid(rank, neighbor_gids[mine])
-    other = ~mine
-    ghost_gids = np.unique(neighbor_gids[other]) if np.any(other) else np.empty(
-        0, dtype=np.int64
-    )
-    if np.any(other):
-        local_adj[other] = (
-            np.searchsorted(ghost_gids, neighbor_gids[other]) + owned_gids.size
-        )
-    ghost_owners = (
-        dist.owner(ghost_gids).astype(np.int32)
-        if ghost_gids.size
-        else np.empty(0, dtype=np.int32)
-    )
+    """Map neighbor gids → local ids; returns (local_adj, ghost_gids, owners).
+
+    Owned neighbors read the distribution's gid → lid table; ghosts are
+    numbered by one sort of the off-rank gids (gid order, as
+    :class:`DistGraph` requires).
+    """
+    local_adj = dist.local_ids[neighbor_gids]
+    other = np.flatnonzero(dist.owner(neighbor_gids) != rank)
+    ghost_gids, ghost_lids = unique_inverse(neighbor_gids[other])
+    local_adj[other] = ghost_lids + owned_gids.size
+    ghost_owners = dist.owner(ghost_gids).astype(np.int32, copy=False)
     return local_adj, ghost_gids, ghost_owners
 
 
@@ -68,7 +58,7 @@ def _send_rank_lists(
     owners_g = ghost_owners[local_adj[is_ghost] - n_local].astype(np.int64)
     if src_g.size == 0:
         return np.zeros(n_local + 1, dtype=np.int64), np.empty(0, dtype=np.int64)
-    key = np.unique(src_g * np.int64(nprocs) + owners_g)
+    key = sorted_unique(src_g * np.int64(nprocs) + owners_g)
     verts = key // nprocs
     ranks = key % nprocs
     sr_offsets = np.zeros(n_local + 1, dtype=np.int64)
@@ -122,13 +112,16 @@ def _ghost_incidence(
     """
     is_ghost = local_adj >= n_local
     targets = local_adj[is_ghost] - n_local
-    sources = src[is_ghost]
-    # sources ascend already, so a stable sort by target keeps them
-    # ascending within each ghost's slice
-    order = np.argsort(targets, kind="stable")
     gin_offsets = np.zeros(n_ghost + 1, dtype=np.int64)
     np.cumsum(np.bincount(targets, minlength=n_ghost), out=gin_offsets[1:])
-    return gin_offsets, sources[order]
+    # one sort of packed (target, source) keys: grouped by ghost, sources
+    # ascending within each ghost's slice
+    key = targets * np.int64(n_local)
+    key += src[is_ghost]
+    key.sort()
+    if key.size:
+        key %= n_local
+    return gin_offsets, key
 
 
 def build_dist_graph(

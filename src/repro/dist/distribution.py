@@ -9,10 +9,11 @@ instances of :class:`Distribution`.
 Local-id convention (uniform across distributions): rank ``r``'s owned
 vertices are its globally-sorted owned gid list; ``lid(g)`` is the position
 of ``g`` in that list.  The simulator materializes the full owner array
-(int32, one entry per global vertex); a production implementation computes
-ownership arithmetically (block) or by hash (random) — the behaviour is
-identical, only the memory footprint differs, which is irrelevant at
-simulation scale.
+(int32, one entry per global vertex) and a gid → lid table (int64, so
+``lid`` is a gather, not a binary search); a production implementation
+computes ownership arithmetically (block) or by hash (random) — the
+behaviour is identical, only the memory footprint differs, which is
+irrelevant at simulation scale.
 """
 
 from __future__ import annotations
@@ -37,11 +38,24 @@ class Distribution:
         self._owner.setflags(write=False)
         self.n = int(owner.size)
         self.nprocs = int(nprocs)
+        # one stable grouping of the owner array: rank-major, gid-ascending
+        # within each rank (uint16 keys take NumPy's O(n) radix sort)
+        keys = owner.astype(np.uint16) if nprocs <= 1 << 16 else owner
+        by_rank = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
+        sizes = np.bincount(owner, minlength=nprocs).astype(np.int64)
+        bounds = np.zeros(nprocs + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        by_rank.setflags(write=False)
         self._owned: List[np.ndarray] = [
-            np.flatnonzero(owner == r).astype(np.int64) for r in range(nprocs)
+            by_rank[bounds[r]:bounds[r + 1]] for r in range(nprocs)
         ]
-        for arr in self._owned:
-            arr.setflags(write=False)
+        # gid -> position in its owner's list, so lid() is one gather
+        local = np.empty(self.n, dtype=np.int64)
+        local[by_rank] = np.arange(self.n, dtype=np.int64) - np.repeat(
+            bounds[:-1], sizes
+        )
+        local.setflags(write=False)
+        self._local = local
 
     # -- queries ---------------------------------------------------------------
 
@@ -67,13 +81,20 @@ class Distribution:
         Caller must guarantee ownership; violations raise.
         """
         gids = np.asarray(gids, dtype=np.int64)
-        pos = np.searchsorted(self._owned[rank], gids)
+        # range check first: a gather would wrap negative gids silently
         if gids.size and (
-            pos.max(initial=0) >= self._owned[rank].size
-            or np.any(self._owned[rank][pos] != gids)
+            gids.min() < 0
+            or gids.max() >= self.n
+            or np.any(self._owner[gids] != rank)
         ):
             raise ValueError(f"some gids are not owned by rank {rank}")
-        return pos
+        return self._local[gids]
+
+    @property
+    def local_ids(self) -> np.ndarray:
+        """Per global vertex, its position in its owner's owned list
+        (read-only; ``lid`` without the ownership check)."""
+        return self._local
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, nprocs={self.nprocs})"

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.dist.distgraph import DistGraph
 from repro.dist.packing import bucket_by_rank
-from repro.graph.gather import neighbor_gather
+from repro.graph.gather import neighbor_gather, sorted_unique
 from repro.simmpi.comm import SimComm
 
 _COMBINE = {
@@ -112,7 +112,7 @@ def distributed_bfs_levels(
         if frontier.size:
             neigh, _ = neighbor_gather(dg.offsets, dg.adj, frontier)
             comm.charge(neigh.size)
-            fresh = np.unique(neigh[levels[neigh] > depth])
+            fresh = sorted_unique(neigh[levels[neigh] > depth])
             levels[fresh] = depth
         # fold ghost discoveries to owners, then re-broadcast to ghosts
         plan.push(comm, levels, op="min")

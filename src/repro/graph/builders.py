@@ -7,6 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.graph.csr import Graph
+from repro.graph.gather import sorted_unique
 
 
 def _clean_edges(
@@ -34,7 +35,7 @@ def _clean_edges(
     if dedup and src.size:
         # sort by (src, dst) once; uniqueness on the combined key
         key = src * np.int64(n) + dst
-        key = np.unique(key)
+        key = sorted_unique(key)
         src = key // n
         dst = key % n
     elif src.size:

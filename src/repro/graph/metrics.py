@@ -8,7 +8,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.graph.csr import Graph
-from repro.graph.gather import neighbor_gather
+from repro.graph.gather import neighbor_gather, sorted_unique
 
 
 def bfs_levels(graph: Graph, source: int) -> np.ndarray:
@@ -31,7 +31,7 @@ def bfs_levels(graph: Graph, source: int) -> np.ndarray:
         fresh = neigh[levels[neigh] < 0]
         if fresh.size == 0:
             break
-        frontier = np.unique(fresh)
+        frontier = sorted_unique(fresh)
         levels[frontier] = depth
     return levels
 

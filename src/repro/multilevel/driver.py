@@ -40,6 +40,7 @@ from repro.core.vertex_balance import vertex_balance_phase
 from repro.dist.distribution import Distribution
 from repro.ft.checkpoint import CkptContext, checkpoint_after, write_checkpoint
 from repro.graph.csr import Graph
+from repro.graph.gather import sorted_unique
 from repro.multilevel.coarsen import (
     MLLevel,
     contract_level,
@@ -197,7 +198,7 @@ def _project(
         state.edges_touched = coarse_state.edges_touched
         state.sweep_log = coarse_state.sweep_log
         boundary = cluster_of[fdg.arc_src] != cluster_of[fdg.adj]
-        seeds = np.unique(fdg.arc_src[boundary])
+        seeds = sorted_unique(fdg.arc_src[boundary])
     return state, seeds
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from scipy import sparse
 
 from repro.graph.csr import Graph
+from repro.graph.gather import unique_inverse
 
 
 def grid_shape(p: int) -> Tuple[int, int]:
@@ -55,8 +56,7 @@ class Layout1D:
         mine = owner[src] == rank
         s, d = src[mine], dst[mine]
         row_l = np.searchsorted(rows, s)
-        col_gids = np.unique(d)
-        col_l = np.searchsorted(col_gids, d)
+        col_gids, col_l = unique_inverse(d)
         mat = sparse.coo_matrix(
             (np.ones(s.size), (row_l, col_l)),
             shape=(rows.size, col_gids.size),
@@ -100,13 +100,10 @@ class Layout2D:
         src, dst = graph.edges()
         mine = ((parts[src] % pr) == a) & ((parts[dst] // pr) == b)
         s, d = src[mine], dst[mine]
-        row_gids = np.unique(s)
-        col_gids = np.unique(d)
+        row_gids, row_l = unique_inverse(s)
+        col_gids, col_l = unique_inverse(d)
         mat = sparse.coo_matrix(
-            (
-                np.ones(s.size),
-                (np.searchsorted(row_gids, s), np.searchsorted(col_gids, d)),
-            ),
+            (np.ones(s.size), (row_l, col_l)),
             shape=(row_gids.size, col_gids.size),
         ).tocsr()
         return cls(

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.core.initialization import initialize, reseed_dead_parts
+from repro.core.initialization import (
+    _random_distinct_neighbor_parts,
+    initialize,
+    reseed_dead_parts,
+)
 from repro.core.params import PulpParams
 from repro.core.state import RankState
 from repro.dist import build_dist_graph, make_distribution
 from repro.graph import from_edges, rmat, ring, rand_hd
+from repro.graph.gather import neighbor_gather_with_sources
 from repro.simmpi import Runtime
 
 
@@ -134,3 +139,61 @@ def test_reseed_noop_when_all_alive():
         return True
 
     assert all(Runtime(2).run(main))
+
+
+def _reference_distinct_neighbor_parts(state, lids):
+    """Whole-neighbourhood gather with a hash ``np.unique``: the oracle for
+    the blocked, sort-based RandTrueIndex."""
+    p = state.num_parts
+    neigh, srcs, _ = neighbor_gather_with_sources(
+        state.dg.offsets, state.dg.adj, lids
+    )
+    state.work_pending += 2.0 * neigh.size + float(lids.size)
+    nparts = state.parts[neigh]
+    ok = nparts >= 0
+    srcs, nparts = srcs[ok], nparts[ok]
+    chosen = np.full(lids.size, -1, dtype=np.int64)
+    has = np.zeros(lids.size, dtype=bool)
+    if srcs.size == 0:
+        return chosen, has
+    keys = np.unique(srcs * np.int64(p) + nparts)
+    verts, parts = keys // p, keys % p
+    counts = np.bincount(verts, minlength=lids.size)
+    starts = np.zeros(lids.size, dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    has = counts > 0
+    pick = starts[has] + (
+        state.rng.random(int(has.sum())) * counts[has]
+    ).astype(np.int64)
+    chosen[has] = parts[pick]
+    return chosen, has
+
+
+@pytest.mark.parametrize("block_size", [1, 7, 4096])
+@pytest.mark.parametrize("assigned_frac", [0.0, 0.05, 0.6])
+def test_distinct_neighbor_parts_matches_reference(block_size, assigned_frac):
+    g = rmat(9, 12, seed=4)
+    dist = make_distribution("random", g.n, 2, seed=1)
+
+    def main(comm):
+        dg = build_dist_graph(comm, g, dist)
+        rng = np.random.default_rng(comm.rank)
+        states = [
+            RankState(dg=dg, num_parts=8,
+                      params=PulpParams(seed=3, block_size=block_size))
+            for _ in range(2)
+        ]
+        labels = np.where(rng.random(dg.n_total) < assigned_frac,
+                          rng.integers(0, 8, dg.n_total), -1)
+        for st in states:
+            st.parts[:] = labels
+        lids = np.flatnonzero(labels[: dg.n_local] < 0)
+        got = _random_distinct_neighbor_parts(states[0], lids)
+        want = _reference_distinct_neighbor_parts(states[1], lids)
+        return got, want, states
+
+    for got, want, (a, b) in Runtime(2).run(main):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert a.work_pending == b.work_pending
+        assert a.rng.random() == b.rng.random()  # same number of draws

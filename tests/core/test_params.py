@@ -26,6 +26,13 @@ def test_validation():
         PulpParams(init_strategy="bogus")
 
 
+@pytest.mark.parametrize("field", ["re_init", "re_step", "rc_init", "rc_step"])
+def test_bias_terms_must_be_non_negative(field):
+    with pytest.raises(ValueError, match=field):
+        PulpParams(**{field: -0.5})
+    assert getattr(PulpParams(**{field: 0.0}), field) == 0.0
+
+
 def test_with_functional_update():
     p = PulpParams()
     q = p.with_(x=2.0, single_objective=True)

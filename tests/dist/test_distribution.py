@@ -71,6 +71,34 @@ def test_lid_roundtrip():
         d.lid(0, d.owned(1)[:1])  # not owned by rank 0
 
 
+@pytest.mark.parametrize("kind", ["block", "random", "partition"])
+@pytest.mark.parametrize("n,p", [(0, 3), (1, 4), (10, 3), (257, 8), (1000, 64)])
+def test_owned_lists_match_per_rank_scan(kind, n, p):
+    parts = np.random.default_rng(n + p).integers(0, p, size=n)
+    d = make_distribution(kind, n, p, seed=11, parts=parts)
+    owner = d.owner(np.arange(n, dtype=np.int64))
+    for r in range(p):
+        want = np.flatnonzero(owner == r).astype(np.int64)
+        got = d.owned(r)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert d.count(r) == want.size
+        np.testing.assert_array_equal(d.lid(r, want), np.arange(want.size))
+    np.testing.assert_array_equal(d.counts(), np.bincount(owner, minlength=p))
+
+
+def test_lid_rejects_foreign_and_out_of_range_gids():
+    d = RandomDistribution(50, 3, seed=2)
+    foreign = d.owned(1)[:1]
+    for bad in ([-1], [50], [10**12], foreign, np.concatenate([d.owned(0), foreign])):
+        with pytest.raises(ValueError):
+            d.lid(0, np.asarray(bad, dtype=np.int64))
+    # a negative gid must not wrap around to the last vertex's lid
+    last_owner = int(d.owner(49))
+    with pytest.raises(ValueError):
+        d.lid(last_owner, np.array([-1]))
+
+
 def test_lid_empty():
     d = BlockDistribution(10, 2)
     assert d.lid(0, np.array([], dtype=np.int64)).size == 0
@@ -102,3 +130,5 @@ def test_owner_array_read_only():
         d._owner[0] = 1
     with pytest.raises(ValueError):
         d.owned(0)[0] = 5
+    with pytest.raises(ValueError):
+        d.local_ids[0] = 5

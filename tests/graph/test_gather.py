@@ -1,12 +1,16 @@
 """Vectorized multi-range gather helpers (hot-path primitives)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.graph.gather import (
     expand_ranges,
     neighbor_gather,
     neighbor_gather_with_sources,
+    sorted_unique,
+    unique_inverse,
 )
 from repro.graph import rmat
 
@@ -65,3 +69,67 @@ def test_neighbor_gather_with_sources():
     np.testing.assert_array_equal(
         neigh[sources == 1], g.neighbors(100)
     )
+
+
+KEY_DTYPES = [np.int32, np.int64, np.uint32, np.uint64, np.uint8]
+
+
+@st.composite
+def key_arrays(draw):
+    """Integer key arrays: any dtype above, small value ranges (so repeats
+    and all-equal runs are common), negatives for the signed ones."""
+    dtype = np.dtype(draw(st.sampled_from(KEY_DTYPES)))
+    info = np.iinfo(dtype)
+    span = draw(st.sampled_from([1, 3, 50, int(info.max)]))
+    lo = max(int(info.min), -span)
+    hi = min(int(info.max), span)
+    return draw(hnp.arrays(
+        dtype, st.integers(min_value=0, max_value=300),
+        elements=st.integers(min_value=lo, max_value=hi),
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_arrays())
+def test_sorted_unique_matches_np_unique(a):
+    got = sorted_unique(a)
+    want = np.unique(a)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_arrays())
+def test_unique_inverse_matches_np_unique(a):
+    uniq, inv = unique_inverse(a)
+    want_uniq, want_inv = np.unique(a, return_inverse=True)
+    assert uniq.dtype == want_uniq.dtype
+    assert inv.dtype == want_inv.dtype
+    np.testing.assert_array_equal(uniq, want_uniq)
+    np.testing.assert_array_equal(inv, want_inv.ravel())
+    np.testing.assert_array_equal(uniq[inv], a)
+
+
+@pytest.mark.parametrize("dtype", KEY_DTYPES)
+@pytest.mark.parametrize("values", [[], [7], [5, 5, 5, 5], [3, 1, 3, 2, 1]])
+def test_unique_helpers_edge_cases(dtype, values):
+    a = np.array(values, dtype=dtype)
+    np.testing.assert_array_equal(sorted_unique(a), np.unique(a))
+    assert sorted_unique(a).dtype == a.dtype
+    uniq, inv = unique_inverse(a)
+    np.testing.assert_array_equal(uniq, np.unique(a))
+    np.testing.assert_array_equal(uniq[inv], a)
+
+
+def test_unique_helpers_negative_keys():
+    a = np.array([-3, 7, -3, -(2**40), 0, 7], dtype=np.int64)
+    np.testing.assert_array_equal(sorted_unique(a), [-(2**40), -3, 0, 7])
+    uniq, inv = unique_inverse(a)
+    np.testing.assert_array_equal(inv, [1, 3, 1, 0, 2, 3])
+
+
+def test_sorted_unique_leaves_input_alone():
+    a = np.array([4, 2, 4, 1])
+    a.setflags(write=False)
+    np.testing.assert_array_equal(sorted_unique(a), [1, 2, 4])
+    np.testing.assert_array_equal(a, [4, 2, 4, 1])
